@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .core import ArgsolveError
 from .formats import (
     InputFormat,
-    OutputDocument,
     ParseError,
     classification_to_data,
     emit_classification,
@@ -93,17 +92,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_max_args(flag_value: Optional[int]) -> Optional[int]:
-    if flag_value is not None:
-        return flag_value
-    env_value = os.environ.get(MAX_ARGS_ENV_VAR)
-    if env_value is not None:
+    source, value = "--max-args", flag_value
+    if value is None:
+        env_value = os.environ.get(MAX_ARGS_ENV_VAR)
+        if env_value is None:
+            return None
         try:
-            return int(env_value)
+            source, value = MAX_ARGS_ENV_VAR, int(env_value)
         except ValueError:
             raise ArgsolveError(
                 f"{MAX_ARGS_ENV_VAR} must be an integer, got {env_value!r}"
             ) from None
-    return None
+    if value < 0:
+        raise ArgsolveError(f"{source} must be nonnegative, got {value}")
+    return value
 
 
 def _load(args: argparse.Namespace):
@@ -111,22 +113,27 @@ def _load(args: argparse.Namespace):
     return load_framework(args.file, forced)
 
 
-def _run_extensions(args: argparse.Namespace) -> OutputDocument:
+def _output(args: argparse.Namespace, result, emit, to_data) -> str:
+    """Render ``result`` in the one form the command prints."""
+    return json.dumps(to_data(result)) + "\n" if args.json else emit(result)
+
+
+def _run_extensions(args: argparse.Namespace) -> str:
     framework = _load(args)
     kind = SemanticsKind(args.semantics)
     result = enumerate_extensions(
         framework, kind, max_args=_effective_max_args(args.max_args)
     )
-    return OutputDocument(emit_extensions(result), extensions_to_data(result))
+    return _output(args, result, emit_extensions, extensions_to_data)
 
 
-def _run_classify(args: argparse.Namespace) -> OutputDocument:
+def _run_classify(args: argparse.Namespace) -> str:
     framework = _load(args)
     report = classify(framework, max_args=_effective_max_args(args.max_args))
-    return OutputDocument(emit_classification(report), classification_to_data(report))
+    return _output(args, report, emit_classification, classification_to_data)
 
 
-def _run_grounded(args: argparse.Namespace) -> OutputDocument:
+def _run_grounded(args: argparse.Namespace) -> str:
     framework = _load(args)
     trace = kleene_least_fixpoint(framework)
     lines = []
@@ -135,7 +142,7 @@ def _run_grounded(args: argparse.Namespace) -> OutputDocument:
         lines.extend(str(step) for step in trace.steps[1:])
         lines.append(str(trace.fixpoint))
     lines.append(str(trace.fixpoint))
-    return OutputDocument("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -147,10 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "extensions":
-            document = _run_extensions(args)
-            print(json.dumps(document.data) if args.json else document.text, end="")
-            if args.json:
-                print()
+            print(_run_extensions(args), end="")
         elif args.command == "justify":
             framework = _load(args)
             status = justification(
@@ -163,13 +167,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("YES" if answer else "NO")
             return 0 if answer else 1
         elif args.command == "classify":
-            document = _run_classify(args)
-            print(json.dumps(document.data) if args.json else document.text, end="")
-            if args.json:
-                print()
+            print(_run_classify(args), end="")
         elif args.command == "grounded":
-            document = _run_grounded(args)
-            print(document.text, end="")
+            print(_run_grounded(args), end="")
         elif args.command == "dot":
             print(emit_dot(_load(args)), end="")
         elif args.command == "validate":

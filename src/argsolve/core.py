@@ -67,6 +67,21 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _render(framework: "Framework", mask: int) -> str:
+    """Member names of ``mask`` in declaration order, as ``[n1,n2,...]``.
+
+    This is both how a set prints and the key of the canonical order of
+    extension lists.
+    """
+    arguments = framework.arguments
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(arguments[low.bit_length() - 1].name)
+        mask ^= low
+    return "[" + ",".join(names) + "]"
+
+
 class Framework:
     """Immutable finite digraph of arguments and attacks.
 
@@ -85,7 +100,6 @@ class Framework:
         "_pred_masks",
         "_full_mask",
         "_self_loop_mask",
-        "_attack_index_pairs",
     )
 
     def __init__(self, names: Sequence[str], attack_pairs: Iterable[tuple[str, str]]):
@@ -102,27 +116,29 @@ class Framework:
         n = len(arguments)
         succ = [0] * n
         pred = [0] * n
-        index_pairs = set()
+        loops = 0
         for src, dst in attack_pairs:
             if src not in name_to_index:
                 raise UnknownEndpoint(src)
             if dst not in name_to_index:
                 raise UnknownEndpoint(dst)
             i, j = name_to_index[src], name_to_index[dst]
-            index_pairs.add((i, j))
             succ[i] |= 1 << j
             pred[j] |= 1 << i
+            if i == j:
+                loops |= 1 << i
 
         self.arguments: tuple[ArgumentId, ...] = tuple(arguments)
         self.attacks: frozenset[tuple[ArgumentId, ArgumentId]] = frozenset(
-            (self.arguments[i], self.arguments[j]) for i, j in index_pairs
+            (self.arguments[i], self.arguments[j])
+            for i in range(n)
+            for j in _iter_bits(succ[i])
         )
         self._name_to_index = name_to_index
         self._succ_masks = tuple(succ)
         self._pred_masks = tuple(pred)
         self._full_mask = (1 << n) - 1
-        self._self_loop_mask = sum(1 << i for i, j in index_pairs if i == j)
-        self._attack_index_pairs = frozenset(index_pairs)
+        self._self_loop_mask = loops
 
     def __len__(self) -> int:
         return len(self.arguments)
@@ -148,7 +164,7 @@ class Framework:
 
     def has_attack(self, src: Union[ArgumentId, str], dst: Union[ArgumentId, str]) -> bool:
         a, b = self.resolve(src), self.resolve(dst)
-        return (a.index, b.index) in self._attack_index_pairs
+        return bool(self._succ_masks[a.index] >> b.index & 1)
 
     def successors(self, arg: Union[ArgumentId, str]) -> "ArgSet":
         """Arguments attacked by ``arg``."""
@@ -175,7 +191,7 @@ class Framework:
         """Same argument names in the same order and the same attack pairs."""
         return (
             tuple(a.name for a in self.arguments) == tuple(a.name for a in other.arguments)
-            and self._attack_index_pairs == other._attack_index_pairs
+            and self._succ_masks == other._succ_masks
         )
 
 
@@ -235,7 +251,7 @@ class ArgSet:
         return tuple(a.name for a in self)
 
     def __str__(self) -> str:
-        return "[" + ",".join(self.names()) + "]"
+        return _render(self.framework, self.mask)
 
     def __repr__(self) -> str:
         return f"ArgSet{str(self)}"
@@ -307,11 +323,10 @@ def induced_subframework(framework: Framework, members: ArgSet) -> Framework:
     with an endpoint outside the restriction.
     """
     _require_tagged(framework, members)
-    kept_names = members.names()
-    kept = set(kept_names)
+    names = [a.name for a in framework.arguments]
     pairs = [
-        (src.name, dst.name)
-        for src, dst in framework.attacks
-        if src.name in kept and dst.name in kept
+        (names[i], names[j])
+        for i in _iter_bits(members.mask)
+        for j in _iter_bits(framework._succ_masks[i] & members.mask)
     ]
-    return Framework(kept_names, pairs)
+    return Framework(members.names(), pairs)

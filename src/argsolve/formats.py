@@ -1,13 +1,13 @@
-"""Input parsing (TGF, APX), output emission (text, DOT), canonical order.
+"""Input parsing (TGF, APX) and output emission (text, DOT).
 
 TGF: one node token per line, a separator line holding exactly "#", then
 edge lines "src dst". APX: facts of the forms ``arg(name).`` and
 ``att(src,dst).``; whitespace is insignificant, ``%`` starts a comment.
 
-Canonical output order is fixed here: extension members render in
-declaration order as ``[n1,n2,...]``, and extension lists sort
-lexicographically by that rendering. Output is byte-stable for identical
-inputs.
+Extension members render in declaration order as ``[n1,n2,...]``.
+Extension lists render in the order given; ``enumerate_extensions``
+returns them in canonical order. Arguments and attacks are written in
+declaration (index) order, so output is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import ArgsolveError, Framework, build_framework
+from .core import ArgsolveError, Framework, _iter_bits, build_framework
 from .semantics import Extension
 from .structure import ClassificationReport
 
@@ -165,41 +165,43 @@ def load_framework(path: Union[str, Path], fmt: Optional[InputFormat] = None) ->
     return parse_framework(Path(path).read_text(encoding="utf-8"), resolved)
 
 
+def _edges(framework: Framework):
+    """Attack pairs as (attacker, target) names, by attacker then target index."""
+    arguments = framework.arguments
+    for i, targets in enumerate(framework._succ_masks):
+        for j in _iter_bits(targets):
+            yield arguments[i].name, arguments[j].name
+
+
 def emit_tgf(framework: Framework) -> str:
     """Inverse writer for parse_tgf: nodes, '#', edges, deterministic order."""
     lines = [a.name for a in framework.arguments]
     lines.append("#")
-    edges = sorted((src.index, dst.index) for src, dst in framework.attacks)
-    arguments = framework.arguments
-    lines.extend(f"{arguments[i].name} {arguments[j].name}" for i, j in edges)
+    lines.extend(f"{src} {dst}" for src, dst in _edges(framework))
     return "\n".join(lines) + "\n"
 
 
 def emit_apx(framework: Framework) -> str:
     """Inverse writer for parse_apx, one fact per line."""
     lines = [f"arg({a.name})." for a in framework.arguments]
-    edges = sorted((src.index, dst.index) for src, dst in framework.attacks)
-    arguments = framework.arguments
-    lines.extend(f"att({arguments[i].name},{arguments[j].name})." for i, j in edges)
+    lines.extend(f"att({src},{dst})." for src, dst in _edges(framework))
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def emit_extensions(extensions: list[Extension]) -> str:
-    """Render one extension per line in canonical order.
+    """Render one extension per line, in the order given.
 
     The empty set renders as ``[]``; an empty list renders as the single
     line ``NO EXTENSIONS``.
     """
     if not extensions:
         return "NO EXTENSIONS\n"
-    lines = sorted(str(e.members) for e in extensions)
-    return "\n".join(lines) + "\n"
+    return "\n".join(str(e.members) for e in extensions) + "\n"
 
 
 def extensions_to_data(extensions: list[Extension]) -> list[list[str]]:
-    """Structured mirror of emit_extensions: sorted arrays of member names."""
-    rendered = sorted(extensions, key=lambda e: str(e.members))
-    return [list(e.members.names()) for e in rendered]
+    """Structured mirror of emit_extensions: arrays of member names, in order."""
+    return [list(e.members.names()) for e in extensions]
 
 
 def emit_dot(framework: Framework) -> str:
@@ -207,10 +209,7 @@ def emit_dot(framework: Framework) -> str:
     lines = ["digraph framework {"]
     for a in framework.arguments:
         lines.append(f'  "{a.name}";')
-    edges = sorted((src.index, dst.index) for src, dst in framework.attacks)
-    arguments = framework.arguments
-    for i, j in edges:
-        lines.append(f'  "{arguments[i].name}" -> "{arguments[j].name}";')
+    lines.extend(f'  "{src}" -> "{dst}";' for src, dst in _edges(framework))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

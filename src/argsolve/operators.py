@@ -80,25 +80,36 @@ def defends(framework: Framework, members: ArgSet, arg: Union[ArgumentId, str]) 
     return framework._pred_masks[resolved.index] & ~fwd == 0
 
 
+def _iterate(
+    framework: Framework, start: int, mask_fn: Callable[[Framework, int], int]
+) -> IterationTrace:
+    """Apply ``mask_fn`` from ``start`` until two consecutive values agree.
+
+    Stops unconverged after ``len(framework) + 1`` applications. A monotone
+    operator started from the empty set climbs a strictly ascending chain
+    inside a finite powerset, so it must converge within that cap.
+    """
+    steps = [start]
+    current = start
+    converged = False
+    for _ in range(len(framework.arguments) + 1):
+        nxt = mask_fn(framework, current)
+        if nxt == current:
+            converged = True
+            break
+        steps.append(nxt)
+        current = nxt
+    if not converged and start == 0:
+        raise AssertionError("monotone iteration from the empty set must converge")
+    return IterationTrace(tuple(ArgSet(framework, m) for m in steps), converged)
+
+
 def kleene_least_fixpoint(framework: Framework) -> IterationTrace:
     """Iterate the defence operator from the empty set to its least fixed point.
 
-    The final step is the grounded extension. Termination within
-    ``len(framework) + 1`` applications is guaranteed because the chain is
-    strictly ascending inside a finite powerset.
+    The final step is the grounded extension.
     """
-    cap = len(framework.arguments) + 1
-    steps = [0]
-    current = 0
-    for _ in range(cap):
-        nxt = _defence_mask(framework, current)
-        if nxt == current:
-            return IterationTrace(
-                tuple(ArgSet(framework, m) for m in steps), converged=True
-            )
-        steps.append(nxt)
-        current = nxt
-    raise AssertionError("defence iteration failed to stabilise within its bound")
+    return _iterate(framework, 0, _defence_mask)
 
 
 # the two monotone operators; raw neutrality is antitone and stays out
@@ -129,18 +140,4 @@ def iterate_to_fixpoint(
             "iterate_to_fixpoint accepts only the monotone operators "
             "defence and neutrality_squared"
         ) from None
-
-    cap = len(framework.arguments) + 1
-    steps = [start.mask]
-    current = start.mask
-    converged = False
-    for _ in range(cap):
-        nxt = mask_fn(framework, current)
-        if nxt == current:
-            converged = True
-            break
-        steps.append(nxt)
-        current = nxt
-    if not converged and start.mask == 0:
-        raise AssertionError("monotone iteration from the empty set must converge")
-    return IterationTrace(tuple(ArgSet(framework, m) for m in steps), converged)
+    return _iterate(framework, start.mask, mask_fn)

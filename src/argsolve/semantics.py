@@ -6,6 +6,11 @@ conflict-free based families; self-defending sets use a threat check
 instead, because they need not be conflict-free. Preferred extensions are
 obtained by maximality filtering over the complete extensions, which is
 never a larger family than the admissible sets.
+
+The searches return unordered bit masks (``_family_masks``); queries that
+only count or test membership read those directly. ``enumerate_extensions``
+is the one place that orders a family: lexicographically by each set's
+rendering ``[n1,n2,...]``, members in declaration order.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .core import (
     Framework,
     _backward_mask,
     _forward_mask,
+    _render,
     _require_tagged,
 )
 from .operators import kleene_least_fixpoint, _defence_mask, _neutrality_mask
@@ -119,19 +125,6 @@ def grounded(framework: Framework) -> Extension:
     return Extension(trace.fixpoint, SemanticsKind.GROUNDED)
 
 
-def _canonical_key(framework: Framework, mask: int) -> str:
-    arguments = framework.arguments
-    names = []
-    index = 0
-    m = mask
-    while m:
-        if m & 1:
-            names.append(arguments[index].name)
-        m >>= 1
-        index += 1
-    return "[" + ",".join(names) + "]"
-
-
 def _conflict_free_masks(framework: Framework, leaf: str) -> list[int]:
     """DFS over indices, pruning any branch that breaks conflict-freeness.
 
@@ -220,10 +213,34 @@ def _maximal_masks(masks: list[int]) -> list[int]:
     return maximal
 
 
-def _check_bound(framework: Framework, max_args: Optional[int]) -> None:
+def _family_masks(
+    framework: Framework, kind: SemanticsKind, max_args: Optional[int]
+) -> list[int]:
+    """Every extension of ``kind`` as a bit mask, in no particular order.
+
+    The grounded kind is exempt from the enumeration bound because it
+    needs no search; every other kind raises TooLarge above it.
+    """
+    if kind is SemanticsKind.GROUNDED:
+        return [grounded(framework).members.mask]
     bound = DEFAULT_MAX_ARGS if max_args is None else max_args
     if len(framework.arguments) > bound:
         raise TooLarge(len(framework.arguments), bound)
+    if kind is SemanticsKind.CONFLICT_FREE:
+        return _conflict_free_masks(framework, "cf")
+    if kind is SemanticsKind.NAIVE:
+        return _conflict_free_masks(framework, "naive")
+    if kind is SemanticsKind.SELF_DEFENDING:
+        return _self_defending_masks(framework)
+    if kind is SemanticsKind.ADMISSIBLE:
+        return _conflict_free_masks(framework, "admissible")
+    if kind is SemanticsKind.COMPLETE:
+        return _conflict_free_masks(framework, "complete")
+    if kind is SemanticsKind.PREFERRED:
+        return _maximal_masks(_conflict_free_masks(framework, "complete"))
+    if kind is SemanticsKind.STABLE:
+        return _conflict_free_masks(framework, "stable")
+    raise ValueError(f"unknown semantics kind: {kind!r}")
 
 
 def enumerate_extensions(
@@ -236,31 +253,14 @@ def enumerate_extensions(
 
     The canonical order sorts the rendered member lists lexicographically.
     A ``limit`` truncates the sorted list and waives completeness, which is
-    flagged with an IncompleteEnumerationWarning. The grounded kind is
-    exempt from the enumeration bound because it needs no search.
+    flagged with an IncompleteEnumerationWarning; a negative ``limit`` is a
+    ValueError. The grounded kind is exempt from the enumeration bound
+    because it needs no search.
     """
-    if kind is SemanticsKind.GROUNDED:
-        masks = [grounded(framework).members.mask]
-    else:
-        _check_bound(framework, max_args)
-        if kind is SemanticsKind.CONFLICT_FREE:
-            masks = _conflict_free_masks(framework, "cf")
-        elif kind is SemanticsKind.NAIVE:
-            masks = _conflict_free_masks(framework, "naive")
-        elif kind is SemanticsKind.SELF_DEFENDING:
-            masks = _self_defending_masks(framework)
-        elif kind is SemanticsKind.ADMISSIBLE:
-            masks = _conflict_free_masks(framework, "admissible")
-        elif kind is SemanticsKind.COMPLETE:
-            masks = _conflict_free_masks(framework, "complete")
-        elif kind is SemanticsKind.PREFERRED:
-            masks = _maximal_masks(_conflict_free_masks(framework, "complete"))
-        elif kind is SemanticsKind.STABLE:
-            masks = _conflict_free_masks(framework, "stable")
-        else:
-            raise ValueError(f"unknown semantics kind: {kind!r}")
-
-    masks.sort(key=lambda m: _canonical_key(framework, m))
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    masks = _family_masks(framework, kind, max_args)
+    masks.sort(key=lambda m: _render(framework, m))
     if limit is not None and len(masks) > limit:
         warnings.warn(
             f"{kind.value} enumeration truncated to {limit} of {len(masks)} "
@@ -300,13 +300,8 @@ def justification(
             f"justification is defined for {[k.value for k in _JUSTIFICATION_KINDS]}, "
             f"not {semantics.value!r}"
         )
-    if semantics is SemanticsKind.GROUNDED:
-        member = resolved in grounded(framework).members
-        return JustificationStatus(resolved, semantics, member, member)
-
-    extensions = enumerate_extensions(framework, semantics, max_args=max_args)
-    if not extensions:
-        return JustificationStatus(resolved, semantics, False, False)
-    credulous = any(resolved in e.members for e in extensions)
-    sceptical = all(resolved in e.members for e in extensions)
+    bit = 1 << resolved.index
+    masks = _family_masks(framework, semantics, max_args)
+    credulous = any(mask & bit for mask in masks)
+    sceptical = bool(masks) and all(mask & bit for mask in masks)
     return JustificationStatus(resolved, semantics, credulous, sceptical)

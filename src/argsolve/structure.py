@@ -13,15 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Optional, Union
 
 from .core import ArgSet, ArgumentId, Framework, _iter_bits
-from .semantics import (
-    SemanticsKind,
-    TooLarge,
-    enumerate_extensions,
-    grounded,
-)
+from .semantics import SemanticsKind, TooLarge, _family_masks, grounded
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ def even_cycle_exists(framework: Framework) -> bool:
         inside = 0
         for i in component:
             inside |= 1 << i
-        for start in sorted(component):
+        for start in _iter_bits(inside):
             allowed = inside & ~((1 << start) - 1)  # indices >= start only
             # stack of (node, depth, visited-mask); simple paths from start
             stack = [(start, 0, 1 << start)]
@@ -254,42 +251,35 @@ def is_limited_controversial(framework: Framework) -> bool:
     return not odd_cycle_exists(framework)
 
 
-def _extension_sets(
-    framework: Framework, kind: SemanticsKind, max_args: Optional[int]
-) -> set[int]:
-    return {
-        e.members.mask
-        for e in enumerate_extensions(framework, kind, max_args=max_args)
-    }
+def _meet(framework: Framework, masks) -> int:
+    """Intersection of a family of masks; the full set for an empty family."""
+    return reduce(and_, masks, framework._full_mask)
 
 
 def is_coherent(framework: Framework, max_args: Optional[int] = None) -> bool:
     """Whether the preferred and stable families are equal."""
-    return _extension_sets(framework, SemanticsKind.PREFERRED, max_args) == (
-        _extension_sets(framework, SemanticsKind.STABLE, max_args)
+    return set(_family_masks(framework, SemanticsKind.PREFERRED, max_args)) == set(
+        _family_masks(framework, SemanticsKind.STABLE, max_args)
     )
 
 
 def is_relatively_grounded(framework: Framework, max_args: Optional[int] = None) -> bool:
     """Whether the intersection of preferred extensions is the grounded one."""
-    preferred = _extension_sets(framework, SemanticsKind.PREFERRED, max_args)
-    meet = framework._full_mask
-    for mask in preferred:
-        meet &= mask
-    return meet == grounded(framework).members.mask
+    preferred = _family_masks(framework, SemanticsKind.PREFERRED, max_args)
+    return _meet(framework, preferred) == grounded(framework).members.mask
 
 
 def is_symmetric(framework: Framework) -> bool:
     """Nonempty attack relation equal to its own converse."""
-    pairs = framework._attack_index_pairs
-    return bool(pairs) and all((j, i) in pairs for i, j in pairs)
+    succ = framework._succ_masks
+    return any(succ) and succ == framework._pred_masks
 
 
 def classify(framework: Framework, max_args: Optional[int] = None) -> ClassificationReport:
     """Populate the full report; semantic fields go absent when too large."""
     acyclic = not has_directed_cycle(framework)
     odd = odd_cycle_exists(framework)
-    grounded_members = grounded(framework).members
+    grounded_mask = grounded(framework).members.mask
 
     coherent: Optional[bool]
     relatively_grounded: Optional[bool]
@@ -298,21 +288,15 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
     counts: Optional[dict[SemanticsKind, int]]
     try:
         families = {
-            kind: _extension_sets(framework, kind, max_args) for kind in SemanticsKind
+            kind: set(_family_masks(framework, kind, max_args)) for kind in SemanticsKind
         }
         counts = {kind: len(families[kind]) for kind in SemanticsKind}
         preferred = families[SemanticsKind.PREFERRED]
         stable = families[SemanticsKind.STABLE]
-        complete = families[SemanticsKind.COMPLETE]
         coherent = preferred == stable
-        meet = framework._full_mask
-        join = 0
-        for mask in preferred:
-            meet &= mask
-            join |= mask
-        relatively_grounded = meet == grounded_members.mask
-        covers = join == framework._full_mask
-        coincide = complete == preferred == stable == {grounded_members.mask}
+        relatively_grounded = _meet(framework, preferred) == grounded_mask
+        covers = reduce(or_, preferred, 0) == framework._full_mask
+        coincide = families[SemanticsKind.COMPLETE] == preferred == stable == {grounded_mask}
     except TooLarge:
         coherent = relatively_grounded = covers = coincide = None
         counts = None
@@ -329,7 +313,7 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
         has_even_cycle=even_cycle_exists(framework),
         is_controversial=bool(controversial_arguments(framework)),
         is_limited_controversial=not odd,
-        grounded_size=len(grounded_members),
+        grounded_size=grounded_mask.bit_count(),
         is_coherent=coherent,
         is_relatively_grounded=relatively_grounded,
         preferred_covers_all=covers,

@@ -19,6 +19,23 @@ def random_framework(rng: random.Random, max_size: int = 10) -> Framework:
     return build_framework(names, pairs)
 
 
+def random_shuffled_names_framework(rng: random.Random, max_size: int = 12) -> Framework:
+    """Like random_framework, but name order differs from declaration order.
+
+    The names ``x, x1, x2, ...`` are declared in shuffled order. ``x`` is a
+    prefix of every other name, ``x1`` of ``x10`` and ``x11``, and from 11
+    arguments on ``x10`` sorts before ``x2``.
+    """
+    n = rng.randint(0, max_size)
+    names = ["x"] + [f"x{i}" for i in range(1, n)] if n else []
+    rng.shuffle(names)
+    density = rng.random()
+    pairs = [
+        (src, dst) for src in names for dst in names if rng.random() < density
+    ]
+    return build_framework(names, pairs)
+
+
 def random_symmetric_framework(rng: random.Random, max_size: int = 10) -> Framework:
     """Nonempty symmetric attack relation, no self-loops."""
     n = rng.randint(2, max_size)

@@ -74,6 +74,24 @@ class TestExtensions:
         code, out, _ = run(capsys, "extensions", "-f", str(big), "-s", "stable")
         assert code == 0 and len(out.splitlines()) == 25
 
+    def test_negative_max_args_flag_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "extensions", "-f", NIXON, "-s", "preferred", "--max-args", "-1"
+        )
+        assert code == 2 and out == ""
+        assert "--max-args" in err and "-1" in err
+        # zero is a valid bound: this framework is simply too large for it
+        code, _, err = run(
+            capsys, "extensions", "-f", NIXON, "-s", "preferred", "--max-args", "0"
+        )
+        assert code == 3 and "bound is 0" in err
+
+    def test_negative_env_bound_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARGSOLVE_MAX_ARGS", "-3")
+        code, out, err = run(capsys, "classify", "-f", NIXON)
+        assert code == 2 and out == ""
+        assert "ARGSOLVE_MAX_ARGS" in err and "-3" in err
+
 
 class TestJustify:
     def test_yes_exit_zero(self, capsys):

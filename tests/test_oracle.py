@@ -9,11 +9,15 @@ from argsolve import (
     SemanticsKind,
     TooLargeForOracle,
     build_framework,
+    classify,
     enumerate_extensions,
+    is_coherent,
+    is_relatively_grounded,
+    justification,
     kleene_least_fixpoint,
     oracle_enumerate,
 )
-from random_frameworks import random_framework
+from random_frameworks import random_framework, random_shuffled_names_framework
 
 
 class TestGoldenValues:
@@ -49,15 +53,36 @@ class TestCap:
         assert len(result.extensions) == 16
 
 
+def _assert_same_lists(f):
+    """Same families in the same (canonical) order as the oracle's."""
+    for kind in SemanticsKind:
+        fast = [e.members for e in enumerate_extensions(f, kind)]
+        slow = oracle_enumerate(f, kind).extensions
+        assert fast == slow, (kind, f.arguments, f.attacks)
+
+
+def _oracle_families(f):
+    return {
+        kind: {frozenset(s.names()) for s in oracle_enumerate(f, kind).extensions}
+        for kind in SemanticsKind
+    }
+
+
 class TestAgainstFastPath:
     def test_random_frameworks_all_kinds(self):
         rng = random.Random(51)
         for _ in range(60):
-            f = random_framework(rng, max_size=6)
-            for kind in SemanticsKind:
-                fast = [e.members for e in enumerate_extensions(f, kind)]
-                slow = oracle_enumerate(f, kind).extensions
-                assert fast == slow, (kind, f)
+            _assert_same_lists(random_framework(rng, max_size=6))
+
+    def test_random_frameworks_all_kinds_shuffled_names(self):
+        rng = random.Random(53)
+        sizes = set()
+        for _ in range(60):
+            f = random_shuffled_names_framework(rng, max_size=12)
+            sizes.add(len(f))
+            _assert_same_lists(f)
+        # name order and declaration order disagree, x10 sorting before x2
+        assert max(sizes) >= 11
 
     def test_grounded_matches_iteration(self):
         rng = random.Random(52)
@@ -65,3 +90,64 @@ class TestAgainstFastPath:
             f = random_framework(rng, max_size=8)
             slow = oracle_enumerate(f, SemanticsKind.GROUNDED).extensions
             assert slow == [kleene_least_fixpoint(f).fixpoint]
+
+
+class TestConsumersAgainstOracle:
+    """Queries that read the unordered mask layer, against oracle families."""
+
+    def test_justification(self):
+        rng = random.Random(54)
+        for _ in range(60):
+            f = random_framework(rng, max_size=8)
+            families = _oracle_families(f)
+            for kind in (
+                SemanticsKind.COMPLETE,
+                SemanticsKind.PREFERRED,
+                SemanticsKind.STABLE,
+                SemanticsKind.GROUNDED,
+            ):
+                family = families[kind]
+                for a in f.arguments:
+                    status = justification(f, a, kind)
+                    credulous = any(a.name in s for s in family)
+                    sceptical = bool(family) and all(a.name in s for s in family)
+                    assert (status.credulous, status.sceptical) == (
+                        credulous,
+                        sceptical,
+                    ), (kind, a, f.attacks)
+
+    def test_classify(self):
+        rng = random.Random(55)
+        for _ in range(60):
+            f = random_framework(rng, max_size=8)
+            families = _oracle_families(f)
+            everything = frozenset(a.name for a in f.arguments)
+            preferred = families[SemanticsKind.PREFERRED]
+            stable = families[SemanticsKind.STABLE]
+            (ground,) = families[SemanticsKind.GROUNDED]
+            report = classify(f)
+            assert report.extension_counts == {
+                kind: len(family) for kind, family in families.items()
+            }
+            assert report.is_coherent == (preferred == stable)
+            assert report.is_relatively_grounded == (
+                frozenset.intersection(*preferred) == ground
+            )
+            assert report.preferred_covers_all == (
+                frozenset.union(*preferred) == everything
+            )
+            assert report.all_dung_semantics_coincide == (
+                families[SemanticsKind.COMPLETE] == preferred == stable == {ground}
+            )
+
+    def test_standalone_coherence_predicates(self):
+        rng = random.Random(56)
+        for _ in range(60):
+            f = random_framework(rng, max_size=8)
+            families = _oracle_families(f)
+            preferred = families[SemanticsKind.PREFERRED]
+            (ground,) = families[SemanticsKind.GROUNDED]
+            assert is_coherent(f) == (preferred == families[SemanticsKind.STABLE])
+            assert is_relatively_grounded(f) == (
+                frozenset.intersection(*preferred) == ground
+            )

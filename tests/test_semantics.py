@@ -171,6 +171,14 @@ class TestEnumerate:
         full = enumerate_extensions(f, SemanticsKind.CONFLICT_FREE)
         assert [e.members for e in result] == [e.members for e in full[:3]]
 
+    def test_negative_limit_is_rejected(self):
+        f = ex.mixed_five()
+        assert len(enumerate_extensions(f, SemanticsKind.ADMISSIBLE)) == 6
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_extensions(f, SemanticsKind.ADMISSIBLE, limit=-1)
+        with pytest.warns(IncompleteEnumerationWarning):
+            assert enumerate_extensions(f, SemanticsKind.ADMISSIBLE, limit=0) == []
+
     def test_empty_framework_families(self):
         f = ex.empty()
         for kind in SemanticsKind:
