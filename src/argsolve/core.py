@@ -8,6 +8,7 @@ the index order and every canonical ordering downstream.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -18,6 +19,17 @@ class ArgsolveError(Exception):
 
 class EmptyName(ArgsolveError):
     """An argument was declared with an empty name."""
+
+
+class InvalidName(ArgsolveError):
+    """An argument name that TGF, APX, DOT or a rendered set cannot delimit."""
+
+    def __init__(self, name: str):
+        super().__init__(
+            f"invalid argument name {name!r}: a name may not be '#' or contain "
+            "whitespace or any of , [ ] ( ) \" \\ %"
+        )
+        self.name = name
 
 
 class DuplicateArgument(ArgsolveError):
@@ -57,6 +69,9 @@ class ArgumentId:
 
     def __repr__(self) -> str:
         return f"ArgumentId({self.index}, {self.name!r})"
+
+
+_UNWRITABLE = re.compile(r'[\s,\[\]()"\\%]')
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -108,6 +123,8 @@ class Framework:
         for index, name in enumerate(names):
             if name == "":
                 raise EmptyName("argument names must be nonempty")
+            if name == "#" or _UNWRITABLE.search(name):
+                raise InvalidName(name)
             if name in name_to_index:
                 raise DuplicateArgument(name)
             name_to_index[name] = index

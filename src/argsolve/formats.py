@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -64,14 +63,6 @@ class InputFormat(Enum):
         raise ParseError(
             f"cannot infer input format from {str(path)!r}; pass it explicitly"
         )
-
-
-@dataclass(frozen=True)
-class OutputDocument:
-    """One rendered result: text lines plus the structured equivalent."""
-
-    text: str
-    data: object = None
 
 
 def parse_tgf(text: str) -> Framework:

@@ -219,8 +219,11 @@ def _family_masks(
     """Every extension of ``kind`` as a bit mask, in no particular order.
 
     The grounded kind is exempt from the enumeration bound because it
-    needs no search; every other kind raises TooLarge above it.
+    needs no search; every other kind raises TooLarge above it. A negative
+    bound is a ValueError for every kind.
     """
+    if max_args is not None and max_args < 0:
+        raise ValueError(f"max_args must be nonnegative, got {max_args}")
     if kind is SemanticsKind.GROUNDED:
         return [grounded(framework).members.mask]
     bound = DEFAULT_MAX_ARGS if max_args is None else max_args

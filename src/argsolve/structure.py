@@ -1,17 +1,16 @@
 """Structural and meta-semantic classification of a framework.
 
-Cycle and controversy queries work on walk parity: a state space of
-(argument, parity) pairs makes odd/even reachability a plain breadth-first
-search. "Path" here means walk, repeats allowed: a self-loop traversed
-twice is an even walk, which is exactly how controversy behaves. The
-well-foundedness and limited-controversy predicates implement the finite
-specialisations (acyclicity, absence of odd cycles); they are only
-meaningful for the finite frameworks this library represents.
+Cycle and controversy queries work on walk parity: one reachability
+closure over (argument, parity) pairs answers every odd/even query. "Path"
+here means walk, repeats allowed: a self-loop traversed twice is an even
+walk, which is exactly how controversy behaves. The well-foundedness and
+limited-controversy predicates implement the finite specialisations
+(acyclicity, absence of odd cycles); they are only meaningful for the
+finite frameworks this library represents.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
@@ -49,14 +48,12 @@ class ClassificationReport:
     extension_counts: Optional[dict[SemanticsKind, int]]
 
 
-def _successor_lists(framework: Framework) -> list[list[int]]:
-    return [list(_iter_bits(mask)) for mask in framework._succ_masks]
+def _components(succ: list[list[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative; components come out sinks first.
 
-
-def strongly_connected_components(framework: Framework) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components as index lists."""
-    n = len(framework.arguments)
-    succ = _successor_lists(framework)
+    Every edge stays inside its component or leads to an earlier one.
+    """
+    n = len(succ)
     index_of = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -102,6 +99,47 @@ def strongly_connected_components(framework: Framework) -> list[list[int]]:
     return components
 
 
+def strongly_connected_components(framework: Framework) -> list[list[int]]:
+    """Components as index lists, sinks first."""
+    return _components([list(_iter_bits(mask)) for mask in framework._succ_masks])
+
+
+def _parity_closure(framework: Framework) -> list[int]:
+    """For each argument ``a``, every (argument, walk parity) it reaches.
+
+    Bit ``w`` of entry ``a`` is set when a walk of even length leads from
+    ``a`` to ``w`` (the empty walk counts, so bit ``a`` always is); bit
+    ``n + w`` when a walk of odd length does. Node ``w + p*n`` of the
+    parity-doubled graph is argument ``w`` at walk parity ``p``; its
+    components come sinks first, so each one takes its members' bits and
+    the finished masks of the components its edges lead to.
+    """
+    n = len(framework.arguments)
+    succ = [list(_iter_bits(mask)) for mask in framework._succ_masks]
+    doubled = [[w + n for w in targets] for targets in succ] + succ
+    reach = [0] * (2 * n)
+    for component in _components(doubled):
+        mask = 0
+        for node in component:
+            mask |= 1 << node
+            for nxt in doubled[node]:
+                mask |= reach[nxt]
+        for node in component:
+            reach[node] = mask
+    return reach[:n]
+
+
+def _has_odd_closed_walk(closure: list[int]) -> bool:
+    n = len(closure)
+    return any(reach >> (n + a) & 1 for a, reach in enumerate(closure))
+
+
+def _controversial_mask(closure: list[int]) -> int:
+    """Arguments reaching some argument by both an even and an odd walk."""
+    n = len(closure)
+    return sum(1 << a for a, reach in enumerate(closure) if reach & reach >> n)
+
+
 def has_directed_cycle(framework: Framework) -> bool:
     """True when some directed cycle (including a self-loop) exists."""
     if framework._self_loop_mask:
@@ -114,30 +152,10 @@ def odd_cycle_exists(framework: Framework) -> bool:
 
     A closed walk of odd length decomposes into simple cycles whose
     lengths sum to it, so an odd closed walk forces an odd simple cycle;
-    the converse is immediate. Odd closed walks are found per strongly
-    connected component with one parity-annotated search.
+    the converse is immediate. So this asks the parity closure whether
+    some argument reaches itself by an odd walk.
     """
-    succ = framework._succ_masks
-    for component in strongly_connected_components(framework):
-        inside = 0
-        for i in component:
-            inside |= 1 << i
-        root = component[0]
-        seen = [[False, False] for _ in range(len(framework.arguments))]
-        seen[root][0] = True
-        queue = deque([(root, 0)])
-        found = False
-        while queue:
-            node, parity = queue.popleft()
-            for nxt in _iter_bits(succ[node] & inside):
-                if not seen[nxt][1 - parity]:
-                    seen[nxt][1 - parity] = True
-                    queue.append((nxt, 1 - parity))
-        if seen[root][1]:
-            found = True
-        if found:
-            return True
-    return False
+    return _has_odd_closed_walk(_parity_closure(framework))
 
 
 def even_cycle_exists(framework: Framework) -> bool:
@@ -149,7 +167,6 @@ def even_cycle_exists(framework: Framework) -> bool:
     Cycles are searched within strongly connected components only, from
     each component's smallest index upward.
     """
-    n = len(framework.arguments)
     succ = framework._succ_masks
     for component in strongly_connected_components(framework):
         if len(component) < 2:
@@ -180,33 +197,13 @@ def is_well_founded(framework: Framework) -> bool:
     return not has_directed_cycle(framework)
 
 
-def _parity_reachable(framework: Framework, source: int) -> list[list[bool]]:
-    """Reachability over (argument, walk parity) states from ``source``.
-
-    ``result[v][p]`` is true when a walk of parity ``p`` and length >= 1
-    leads from the source to ``v``, except that ``result[source][0]``
-    is seeded true by the empty walk.
-    """
-    succ = framework._succ_masks
-    seen = [[False, False] for _ in range(len(framework.arguments))]
-    seen[source][0] = True
-    queue = deque([(source, 0)])
-    while queue:
-        node, parity = queue.popleft()
-        for nxt in _iter_bits(succ[node]):
-            if not seen[nxt][1 - parity]:
-                seen[nxt][1 - parity] = True
-                queue.append((nxt, 1 - parity))
-    return seen
-
-
 def indirectly_attacks(
     framework: Framework, a: Union[ArgumentId, str], b: Union[ArgumentId, str]
 ) -> bool:
     """Whether an odd-length directed walk leads from ``a`` to ``b``."""
     src = framework.resolve(a)
     dst = framework.resolve(b)
-    return _parity_reachable(framework, src.index)[dst.index][1]
+    return bool(_parity_closure(framework)[src.index] >> (len(framework) + dst.index) & 1)
 
 
 def indirectly_defends(
@@ -218,9 +215,7 @@ def indirectly_defends(
     """
     src = framework.resolve(a)
     dst = framework.resolve(b)
-    if src == dst:
-        return True
-    return _parity_reachable(framework, src.index)[dst.index][0]
+    return bool(_parity_closure(framework)[src.index] >> dst.index & 1)
 
 
 def is_controversial_wrt(
@@ -229,21 +224,13 @@ def is_controversial_wrt(
     """Whether ``a`` both indirectly attacks and indirectly defends ``b``."""
     src = framework.resolve(a)
     dst = framework.resolve(b)
-    seen = _parity_reachable(framework, src.index)
-    defends_b = src == dst or seen[dst.index][0]
-    return seen[dst.index][1] and defends_b
+    reach = _parity_closure(framework)[src.index]
+    return bool(reach >> dst.index & reach >> (len(framework) + dst.index) & 1)
 
 
 def controversial_arguments(framework: Framework) -> ArgSet:
     """All arguments controversial with respect to something."""
-    mask = 0
-    for a in range(len(framework.arguments)):
-        seen = _parity_reachable(framework, a)
-        for b in range(len(framework.arguments)):
-            if seen[b][1] and (b == a or seen[b][0]):
-                mask |= 1 << a
-                break
-    return ArgSet(framework, mask)
+    return ArgSet(framework, _controversial_mask(_parity_closure(framework)))
 
 
 def is_limited_controversial(framework: Framework) -> bool:
@@ -278,7 +265,8 @@ def is_symmetric(framework: Framework) -> bool:
 def classify(framework: Framework, max_args: Optional[int] = None) -> ClassificationReport:
     """Populate the full report; semantic fields go absent when too large."""
     acyclic = not has_directed_cycle(framework)
-    odd = odd_cycle_exists(framework)
+    closure = _parity_closure(framework)
+    odd = _has_odd_closed_walk(closure)
     grounded_mask = grounded(framework).members.mask
 
     coherent: Optional[bool]
@@ -311,7 +299,7 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
         is_well_founded=acyclic,
         has_odd_cycle=odd,
         has_even_cycle=even_cycle_exists(framework),
-        is_controversial=bool(controversial_arguments(framework)),
+        is_controversial=_controversial_mask(closure) != 0,
         is_limited_controversial=not odd,
         grounded_size=grounded_mask.bit_count(),
         is_coherent=coherent,

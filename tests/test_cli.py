@@ -184,6 +184,16 @@ class TestValidateAndErrors:
         assert code == 2
 
 
+    @pytest.mark.parametrize("name", ["c,d", 'a"b'])
+    def test_unwritable_name_is_usage_error(self, capsys, tmp_path, name):
+        path = tmp_path / "af.tgf"
+        path.write_text(f"{name}\ne\n#\n{name} e\n", encoding="utf-8")
+        for argv in (["extensions", "-s", "conflict-free"], ["dot"]):
+            code, out, err = run(capsys, *argv, "-f", str(path))
+            assert code == 2 and out == ""
+            assert name in err
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):
         first = run(capsys, "extensions", "-f", FLOATING, "-s", "complete")

@@ -9,6 +9,7 @@ from argsolve import (
     DuplicateArgument,
     EmptyName,
     FrameworkMismatch,
+    InvalidName,
     UnknownArgument,
     UnknownEndpoint,
     backward_set,
@@ -44,6 +45,13 @@ class TestBuildFramework:
     def test_empty_name(self):
         with pytest.raises(EmptyName):
             build_framework(["a", ""], [])
+
+    def test_unwritable_names_rejected(self):
+        for name in ["x y", "#", "c,d", 'a"b', "a\\b", "p%", "[x]", "f(x)", "t\tu"]:
+            with pytest.raises(InvalidName) as info:
+                build_framework(["a", name], [])
+            assert info.value.name == name
+        build_framework(["#a", "a#", "a.b", "x'", "n:1", "é"], [])
 
     def test_duplicate_attacks_collapse(self):
         f = build_framework(["a", "b"], [("a", "b"), ("a", "b")])

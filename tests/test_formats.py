@@ -13,6 +13,7 @@ from argsolve import (
     ParseError,
     SemanticsKind,
     UnknownEndpoint,
+    build_framework,
     emit_apx,
     emit_dot,
     emit_extensions,
@@ -149,6 +150,14 @@ class TestRoundTrips:
                 a = emit_extensions(enumerate_extensions(via_tgf, kind))
                 b = emit_extensions(enumerate_extensions(via_apx, kind))
                 assert a == b
+
+
+    def test_punctuated_names_round_trip(self):
+        names = ["a.b", "x'", "n:1", "é", "#a"]
+        pairs = [("a.b", "x'"), ("x'", "n:1"), ("n:1", "é"), ("é", "é"), ("#a", "a.b")]
+        f = build_framework(names, pairs)
+        assert parse_tgf(emit_tgf(f)).structurally_equal(f)
+        assert parse_apx(emit_apx(f)).structurally_equal(f)
 
 
 class TestInputFormat:

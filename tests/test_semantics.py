@@ -179,6 +179,15 @@ class TestEnumerate:
         with pytest.warns(IncompleteEnumerationWarning):
             assert enumerate_extensions(f, SemanticsKind.ADMISSIBLE, limit=0) == []
 
+    def test_negative_bound_is_rejected(self):
+        f = ex.mixed_five()
+        for kind in SemanticsKind:
+            with pytest.raises(ValueError, match="max_args"):
+                enumerate_extensions(f, kind, max_args=-1)
+        # zero is a valid bound: this framework is simply too large for it
+        with pytest.raises(TooLarge):
+            enumerate_extensions(f, SemanticsKind.ADMISSIBLE, max_args=0)
+
     def test_empty_framework_families(self):
         f = ex.empty()
         for kind in SemanticsKind:
@@ -220,6 +229,12 @@ class TestJustification:
     def test_unknown_argument(self):
         with pytest.raises(UnknownArgument):
             justification(ex.nixon_diamond(), "zzz", SemanticsKind.PREFERRED)
+
+    def test_negative_bound_is_rejected(self):
+        f = ex.mixed_five()
+        for kind in (SemanticsKind.PREFERRED, SemanticsKind.GROUNDED):
+            with pytest.raises(ValueError, match="max_args"):
+                justification(f, f.arguments[0], kind, max_args=-1)
 
     def test_non_justification_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -194,6 +194,11 @@ class TestClassify:
         with pytest.raises(TooLarge):
             is_coherent(f)
 
+    def test_negative_bound_is_rejected(self):
+        for f in (ex.mixed_five(), ex.empty()):
+            with pytest.raises(ValueError, match="max_args"):
+                classify(f, max_args=-1)
+
     def test_self_attack_and_trivial_flags(self):
         report = classify(ex.self_attack_pair())
         assert report.has_self_attack and not report.is_trivial
@@ -254,20 +259,33 @@ def _simple_cycle_lengths(framework):
     return lengths
 
 
+def _random_frameworks(seed, count, max_sizes):
+    """``count`` random frameworks per size cap; each may carry self-loops."""
+    rng = random.Random(seed)
+    for max_size in max_sizes:
+        for _ in range(count):
+            yield random_framework(rng, max_size=max_size)
+
+
+def _renamed(framework, prefix, order=None):
+    """The same attacks under prefixed names, declared in ``order``."""
+    names = [a.name for a in framework.arguments]
+    order = names if order is None else order
+    pairs = [(prefix + s.name, prefix + d.name) for s, d in framework.attacks]
+    return build_framework([prefix + name for name in order], pairs)
+
+
 class TestAgainstBruteForce:
     def test_cycle_parities(self):
-        rng = random.Random(71)
-        for _ in range(200):
-            f = random_framework(rng, max_size=6)
+        # the simple-cycle brute force is exponential, so sizes stop at 8
+        for f in _random_frameworks(71, 200, (6, 8)):
             lengths = _simple_cycle_lengths(f)
             assert has_directed_cycle(f) == bool(lengths)
             assert odd_cycle_exists(f) == any(k % 2 == 1 for k in lengths)
             assert even_cycle_exists(f) == any(k % 2 == 0 for k in lengths)
 
     def test_walk_parity_predicates(self):
-        rng = random.Random(72)
-        for _ in range(100):
-            f = random_framework(rng, max_size=6)
+        for f in _random_frameworks(72, 100, (6, 12)):
             n = len(f)
             walks = _walks_by_parity(f, 2 * n + 2)
             for a in f.arguments:
@@ -281,9 +299,7 @@ class TestAgainstBruteForce:
                     )
 
     def test_controversial_argument_collection(self):
-        rng = random.Random(73)
-        for _ in range(100):
-            f = random_framework(rng, max_size=6)
+        for f in _random_frameworks(73, 100, (6, 12)):
             expected = {
                 a.name
                 for a in f.arguments
@@ -299,6 +315,48 @@ class TestAgainstBruteForce:
             cyclic = any((i, i) in reach for i in range(len(f)))
             assert has_directed_cycle(f) == cyclic
             assert is_well_founded(f) == (not cyclic)
+
+
+class TestParityClosureLaws:
+    def test_closed_forms_at_scale(self):
+        names = [f"c{i}" for i in range(3000)]
+        chain = build_framework(names, list(zip(names[1:], names)))
+        assert not odd_cycle_exists(chain)
+        assert not controversial_arguments(chain)
+        odd = ex.directed_cycle(3001)
+        assert odd_cycle_exists(odd)
+        assert controversial_arguments(odd).mask == odd._full_mask
+        even = ex.directed_cycle(3000)
+        assert not odd_cycle_exists(even)
+        assert not controversial_arguments(even)
+
+    def test_disjoint_union(self):
+        rng = random.Random(75)
+        for _ in range(100):
+            left = _renamed(random_framework(rng, max_size=8), "l")
+            right = _renamed(random_framework(rng, max_size=8), "r")
+            union = build_framework(
+                [a.name for a in left.arguments + right.arguments],
+                [(s.name, d.name) for s, d in left.attacks | right.attacks],
+            )
+            assert set(controversial_arguments(union).names()) == set(
+                controversial_arguments(left).names()
+            ) | set(controversial_arguments(right).names())
+            assert odd_cycle_exists(union) == (
+                odd_cycle_exists(left) or odd_cycle_exists(right)
+            )
+
+    def test_declaration_order_is_irrelevant(self):
+        rng = random.Random(76)
+        for _ in range(100):
+            f = random_framework(rng, max_size=12)
+            order = [a.name for a in f.arguments]
+            rng.shuffle(order)
+            shuffled = _renamed(f, "", order)
+            assert set(controversial_arguments(shuffled).names()) == set(
+                controversial_arguments(f).names()
+            )
+            assert odd_cycle_exists(shuffled) == odd_cycle_exists(f)
 
 
 class TestStructuralImplications:
