@@ -18,7 +18,15 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import ArgsolveError, Framework, _iter_bits, build_framework
+from .core import (
+    ArgsolveError,
+    DuplicateArgument,
+    Framework,
+    InvalidName,
+    UnknownEndpoint,
+    _iter_bits,
+    build_framework,
+)
 from .semantics import Extension
 from .structure import ClassificationReport
 
@@ -65,14 +73,33 @@ class InputFormat(Enum):
         )
 
 
+def _build(names: list[tuple[int, str]], pairs: list[tuple[int, str, str]]) -> Framework:
+    """``build_framework`` on ``(line, name)`` and ``(line, src, dst)`` records.
+
+    A rejected name or attack keeps its error class and ``.name`` and gains
+    ``.lineno``: the line of the invalid name, of the repeated declaration,
+    or of the first attack naming the undeclared endpoint.
+    """
+    try:
+        return build_framework([name for _, name in names], ((s, d) for _, s, d in pairs))
+    except (InvalidName, DuplicateArgument, UnknownEndpoint) as error:
+        if isinstance(error, UnknownEndpoint):
+            error.lineno = next(line for line, *ends in pairs if error.name in ends)
+        else:
+            lines = [line for line, name in names if name == error.name]
+            error.lineno = lines[1] if isinstance(error, DuplicateArgument) else lines[0]
+        error.args = (f"line {error.lineno}: {error}",)
+        raise
+
+
 def parse_tgf(text: str) -> Framework:
     """Parse Trivial Graph Format into a framework.
 
     Node labels after the first token are ignored with a warning; blank
     lines are skipped. Declaration order follows the node-line order.
     """
-    names: list[str] = []
-    pairs: list[tuple[str, str]] = []
+    names: list[tuple[int, str]] = []
+    pairs: list[tuple[int, str, str]] = []
     seen_separator = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -90,7 +117,7 @@ def parse_tgf(text: str) -> Framework:
                     f"TGF line {lineno}: ignoring node label {' '.join(tokens[1:])!r}",
                     stacklevel=2,
                 )
-            names.append(tokens[0])
+            names.append((lineno, tokens[0]))
         else:
             if len(tokens) < 2:
                 raise MalformedLine(lineno, f"edge line needs two tokens: {line!r}")
@@ -99,10 +126,10 @@ def parse_tgf(text: str) -> Framework:
                     f"TGF line {lineno}: ignoring edge label {' '.join(tokens[2:])!r}",
                     stacklevel=2,
                 )
-            pairs.append((tokens[0], tokens[1]))
+            pairs.append((lineno, tokens[0], tokens[1]))
     if not seen_separator:
         raise MissingSeparator("TGF input has no '#' separator line")
-    return build_framework(names, pairs)
+    return _build(names, pairs)
 
 
 _APX_FACT = re.compile(r"(arg|att)\s*\(([^()]*)\)\s*\.")
@@ -114,8 +141,8 @@ def parse_apx(text: str) -> Framework:
     Multiple facts may share a line; ``%`` comments and blank lines are
     ignored. Every attack endpoint must be declared by an ``arg`` fact.
     """
-    names: list[str] = []
-    pairs: list[tuple[str, str]] = []
+    names: list[tuple[int, str]] = []
+    pairs: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
         if not line:
@@ -132,16 +159,16 @@ def parse_apx(text: str) -> Framework:
             if functor == "arg":
                 if len(terms) != 1 or not terms[0]:
                     raise MalformedFact(lineno, f"arg fact needs one name: {match.group(0)!r}")
-                names.append(terms[0])
+                names.append((lineno, terms[0]))
             else:
                 if len(terms) != 2 or not all(terms):
                     raise MalformedFact(lineno, f"att fact needs two names: {match.group(0)!r}")
-                pairs.append((terms[0], terms[1]))
+                pairs.append((lineno, terms[0], terms[1]))
             consumed = match.end()
         rest = line[consumed:].strip()
         if rest:
             raise MalformedFact(lineno, f"unrecognised text {rest!r}")
-    return build_framework(names, pairs)
+    return _build(names, pairs)
 
 
 def parse_framework(text: str, fmt: InputFormat) -> Framework:

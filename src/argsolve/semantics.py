@@ -1,13 +1,12 @@
 """Extension families and justification queries.
 
-Every family is enumerated by a depth-first search over argument indices.
-Branches that already violate conflict-freeness are discarded for the
-conflict-free based families; self-defending sets use a threat check
-instead, because they need not be conflict-free. Preferred extensions are
-obtained by maximality filtering over the complete extensions, which is
-never a larger family than the admissible sets.
+Every searched family comes from one depth-first search over argument
+indices, ``_search_masks``, which takes its pruning from the family's
+definition: conflict-free, self-defending, or both. Preferred extensions
+are the inclusion-maximal complete ones; the grounded extension needs no
+search.
 
-The searches return unordered bit masks (``_family_masks``); queries that
+Families are unordered bit masks (``_family_masks``); queries that
 only count or test membership read those directly. ``enumerate_extensions``
 is the one place that orders a family: lexicographically by each set's
 rendering ``[n1,n2,...]``, members in declaration order.
@@ -125,80 +124,55 @@ def grounded(framework: Framework) -> Extension:
     return Extension(trace.fixpoint, SemanticsKind.GROUNDED)
 
 
-def _conflict_free_masks(framework: Framework, leaf: str) -> list[int]:
-    """DFS over indices, pruning any branch that breaks conflict-freeness.
+def _search_masks(framework: Framework, kind: SemanticsKind) -> list[int]:
+    """DFS over indices whose prunes and leaf test follow ``kind``'s definition.
 
-    ``leaf`` selects the test applied to each conflict-free leaf:
-    every leaf (``cf``), maximality (``naive``), self-defence
-    (``admissible``), defence fixpoint (``complete``) or neutrality
-    fixpoint (``stable``).
+    Every kind but self-defending is conflict-free: a branch may not add an
+    argument that attacks, or is attacked by, itself or the current set.
+    Every kind but conflict-free and naive defends itself: a branch dies as
+    soon as some current attacker can never be counterattacked by any
+    argument still undecided, which at a leaf is exactly self-defence.
+    Complete, stable and naive sets pass one more test at the leaf.
     """
     n = len(framework.arguments)
     succ = framework._succ_masks
     pred = framework._pred_masks
     full = framework._full_mask
     loops = framework._self_loop_mask
+    conflict_free = kind is not SemanticsKind.SELF_DEFENDING
+    defends = kind is not SemanticsKind.CONFLICT_FREE and kind is not SemanticsKind.NAIVE
+    naive = kind is SemanticsKind.NAIVE
+    complete = kind is SemanticsKind.COMPLETE
+    stable = kind is SemanticsKind.STABLE
     results: list[int] = []
 
-    def recurse(index: int, cur: int, conflicted: int, fwd: int, bwd: int) -> None:
-        if index == n:
-            if leaf == "cf":
-                results.append(cur)
-            elif leaf == "naive":
-                if full & ~(cur | conflicted | loops) == 0:
-                    results.append(cur)
-            elif leaf == "admissible":
-                if bwd & ~fwd == 0:
-                    results.append(cur)
-            elif leaf == "complete":
-                if _defence_mask(framework, cur) == cur:
-                    results.append(cur)
-            else:  # stable
-                if full & ~fwd == cur:
-                    results.append(cur)
-            return
-        recurse(index + 1, cur, conflicted, fwd, bwd)
-        bit = 1 << index
-        if conflicted & bit or loops & bit:
-            return
-        recurse(
-            index + 1,
-            cur | bit,
-            conflicted | succ[index] | pred[index],
-            fwd | succ[index],
-            bwd | pred[index],
-        )
-
-    recurse(0, 0, 0, 0, 0)
-    return results
-
-
-def _self_defending_masks(framework: Framework) -> list[int]:
-    """DFS over indices with a forward check on unanswerable attackers.
-
-    A partial choice dies as soon as some current attacker can never be
-    counterattacked by any argument still undecided.
-    """
-    n = len(framework.arguments)
-    succ = framework._succ_masks
-    pred = framework._pred_masks
-    results: list[int] = []
-
-    # suffix_attacks[k] = everything attackable using only indices >= k
-    suffix_attacks = [0] * (n + 1)
+    # unanswerable[k] = every argument that no index >= k attacks
+    unanswerable = [-1] * (n + 1)
     for k in range(n - 1, -1, -1):
-        suffix_attacks[k] = suffix_attacks[k + 1] | succ[k]
+        unanswerable[k] = unanswerable[k + 1] & ~succ[k]
 
     def recurse(index: int, cur: int, fwd: int, bwd: int) -> None:
-        threats = bwd & ~fwd
-        if threats & ~suffix_attacks[index]:
-            return
-        if index == n:
-            results.append(cur)
-            return
-        recurse(index + 1, cur, fwd, bwd)
-        bit = 1 << index
-        recurse(index + 1, cur | bit, fwd | succ[index], bwd | pred[index])
+        # including ``index`` recurses; excluding it moves on in this loop
+        while True:
+            if defends and bwd & ~fwd & unanswerable[index]:
+                return
+            if index == n:
+                if naive:
+                    if full & ~(cur | fwd | bwd | loops) == 0:
+                        results.append(cur)
+                elif complete:
+                    if _defence_mask(framework, cur) == cur:
+                        results.append(cur)
+                elif stable:
+                    if full & ~fwd == cur:
+                        results.append(cur)
+                else:
+                    results.append(cur)
+                return
+            bit = 1 << index
+            if not (conflict_free and (fwd | bwd | loops) & bit):
+                recurse(index + 1, cur | bit, fwd | succ[index], bwd | pred[index])
+            index += 1
 
     recurse(0, 0, 0, 0)
     return results
@@ -218,9 +192,11 @@ def _family_masks(
 ) -> list[int]:
     """Every extension of ``kind`` as a bit mask, in no particular order.
 
-    The grounded kind is exempt from the enumeration bound because it
-    needs no search; every other kind raises TooLarge above it. A negative
-    bound is a ValueError for every kind.
+    Grounded is computed without search and so is exempt from the
+    enumeration bound; preferred filters the complete search for maximal
+    sets; every other kind is ``_search_masks`` itself. Above the bound a
+    searched kind raises TooLarge. A negative bound, or a ``kind`` that is
+    not a SemanticsKind, is a ValueError.
     """
     if max_args is not None and max_args < 0:
         raise ValueError(f"max_args must be nonnegative, got {max_args}")
@@ -229,21 +205,11 @@ def _family_masks(
     bound = DEFAULT_MAX_ARGS if max_args is None else max_args
     if len(framework.arguments) > bound:
         raise TooLarge(len(framework.arguments), bound)
-    if kind is SemanticsKind.CONFLICT_FREE:
-        return _conflict_free_masks(framework, "cf")
-    if kind is SemanticsKind.NAIVE:
-        return _conflict_free_masks(framework, "naive")
-    if kind is SemanticsKind.SELF_DEFENDING:
-        return _self_defending_masks(framework)
-    if kind is SemanticsKind.ADMISSIBLE:
-        return _conflict_free_masks(framework, "admissible")
-    if kind is SemanticsKind.COMPLETE:
-        return _conflict_free_masks(framework, "complete")
+    if not isinstance(kind, SemanticsKind):
+        raise ValueError(f"unknown semantics kind: {kind!r}")
     if kind is SemanticsKind.PREFERRED:
-        return _maximal_masks(_conflict_free_masks(framework, "complete"))
-    if kind is SemanticsKind.STABLE:
-        return _conflict_free_masks(framework, "stable")
-    raise ValueError(f"unknown semantics kind: {kind!r}")
+        return _maximal_masks(_search_masks(framework, SemanticsKind.COMPLETE))
+    return _search_masks(framework, kind)
 
 
 def enumerate_extensions(

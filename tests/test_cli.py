@@ -193,6 +193,13 @@ class TestValidateAndErrors:
             assert code == 2 and out == ""
             assert name in err
 
+    def test_undeclared_endpoint_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "af.tgf"
+        path.write_text("a\n#\na b\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", "-f", str(path))
+        assert (code, out) == (2, "")
+        assert err == "argsolve: line 3: attack endpoint is not a declared argument: 'b'\n"
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):

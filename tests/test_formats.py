@@ -6,7 +6,9 @@ import pytest
 
 import af_examples as ex
 from argsolve import (
+    DuplicateArgument,
     InputFormat,
+    InvalidName,
     MalformedFact,
     MalformedLine,
     MissingSeparator,
@@ -57,6 +59,26 @@ class TestParseTgf:
     def test_blank_lines_skipped(self):
         f = parse_tgf("\na\n\n#\n\n")
         assert [x.name for x in f.arguments] == ["a"]
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, name, lineno",
+    [
+        (parse_tgf, "a\nb\na\n#\n", DuplicateArgument, "a", 3),
+        (parse_tgf, "a\n\nc,d\n#\n", InvalidName, "c,d", 3),
+        (parse_tgf, "a\n#\na a\n\nb a\na b\n", UnknownEndpoint, "b", 5),
+        (parse_apx, "arg(a).\narg(b). arg(a).\n", DuplicateArgument, "a", 2),
+        (parse_apx, "% header\narg(a).\narg(x[1]).\n", InvalidName, "x[1]", 3),
+        (parse_apx, "arg(a).\natt(a,a).\n% gap\natt(a,b). att(b,a).\n", UnknownEndpoint, "b", 4),
+    ],
+    ids=["tgf-duplicate", "tgf-invalid", "tgf-unknown", "apx-duplicate", "apx-invalid", "apx-unknown"],
+)
+def test_build_errors_name_their_line(parse, text, error, name, lineno):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert info.value.name == name
+    assert info.value.lineno == lineno
+    assert str(info.value).startswith(f"line {lineno}: ")
 
 
 class TestParseApx:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import af_examples as ex
 from argsolve import (
@@ -68,6 +70,25 @@ def _oracle_families(f):
     }
 
 
+@st.composite
+def _sparse_frameworks(draw):
+    """n <= 12, attack density 0.05-0.4, self-loops allowed.
+
+    Sparse attacks leave most attackers unanswered by the arguments still
+    undecided, so the search's self-defence prune fires often.
+    """
+    n = draw(st.integers(0, 12))
+    names = [f"x{i}" for i in range(n)]
+    cells = [(src, dst) for src in names for dst in names]
+    count = round(draw(st.floats(0.05, 0.4)) * len(cells))
+    pairs = []
+    if cells:
+        pairs = draw(
+            st.lists(st.sampled_from(cells), min_size=count, max_size=count, unique=True)
+        )
+    return build_framework(names, pairs)
+
+
 class TestAgainstFastPath:
     def test_random_frameworks_all_kinds(self):
         rng = random.Random(51)
@@ -83,6 +104,11 @@ class TestAgainstFastPath:
             _assert_same_lists(f)
         # name order and declaration order disagree, x10 sorting before x2
         assert max(sizes) >= 11
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_sparse_frameworks())
+    def test_sparse_frameworks_all_kinds(self, f):
+        _assert_same_lists(f)
 
     def test_grounded_matches_iteration(self):
         rng = random.Random(52)

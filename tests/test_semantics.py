@@ -188,6 +188,12 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             enumerate_extensions(f, SemanticsKind.ADMISSIBLE, max_args=0)
 
+    def test_string_kind_is_rejected(self):
+        f = ex.floating_reinstatement()
+        for kind in SemanticsKind:
+            with pytest.raises(ValueError, match="unknown semantics kind"):
+                enumerate_extensions(f, kind.value)
+
     def test_empty_framework_families(self):
         f = ex.empty()
         for kind in SemanticsKind:
