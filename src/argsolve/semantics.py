@@ -4,7 +4,9 @@ Every searched family comes from one depth-first search over argument
 indices, ``_search_masks``, which takes its pruning from the family's
 definition: conflict-free, self-defending, or both. Preferred extensions
 are the inclusion-maximal complete ones; the grounded extension needs no
-search.
+search. Every definition looks only at an argument's attackers, so a
+family is the product of the families of the weakly connected components,
+each searched alone; a framework of one component is searched directly.
 
 Families are unordered bit masks (``_family_masks``); queries that
 only count or test membership read those directly. ``enumerate_extensions``
@@ -26,8 +28,10 @@ from .core import (
     Framework,
     _backward_mask,
     _forward_mask,
+    _iter_bits,
     _render,
     _require_tagged,
+    induced_subframework,
 )
 from .operators import kleene_least_fixpoint, _defence_mask, _neutrality_mask
 
@@ -187,16 +191,45 @@ def _maximal_masks(masks: list[int]) -> list[int]:
     return maximal
 
 
+def _weak_components(framework: Framework) -> list[int]:
+    """Weakly connected components as bit masks."""
+    succ = framework._succ_masks
+    pred = framework._pred_masks
+    components: list[int] = []
+    unseen = framework._full_mask
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            reached = (succ[i] | pred[i]) & ~component
+            component |= reached
+            frontier |= reached
+        unseen &= ~component
+        components.append(component)
+    return components
+
+
+def _searched_masks(framework: Framework, kind: SemanticsKind) -> list[int]:
+    """``kind``'s family by search; preferred keeps the maximal complete sets."""
+    if kind is SemanticsKind.PREFERRED:
+        return _maximal_masks(_search_masks(framework, SemanticsKind.COMPLETE))
+    return _search_masks(framework, kind)
+
+
 def _family_masks(
-    framework: Framework, kind: SemanticsKind, max_args: Optional[int]
+    framework: Framework, kind: SemanticsKind, max_args: Optional[int], focus: int = -1
 ) -> list[int]:
     """Every extension of ``kind`` as a bit mask, in no particular order.
 
-    Grounded is computed without search and so is exempt from the
-    enumeration bound; preferred filters the complete search for maximal
-    sets; every other kind is ``_search_masks`` itself. Above the bound a
+    Grounded needs no search and is exempt from the bound; above it a
     searched kind raises TooLarge. A negative bound, or a ``kind`` that is
-    not a SemanticsKind, is a ValueError.
+    not a SemanticsKind, is a ValueError. An argument's attackers share its
+    weakly connected component, so a searched family is the product of the
+    components' families, each searched alone (a single one in place).
+    Only the components meeting ``focus`` enter the product; the others are
+    searched only for stable, where an empty family empties the product.
     """
     if max_args is not None and max_args < 0:
         raise ValueError(f"max_args must be nonnegative, got {max_args}")
@@ -207,9 +240,21 @@ def _family_masks(
         raise TooLarge(len(framework.arguments), bound)
     if not isinstance(kind, SemanticsKind):
         raise ValueError(f"unknown semantics kind: {kind!r}")
-    if kind is SemanticsKind.PREFERRED:
-        return _maximal_masks(_search_masks(framework, SemanticsKind.COMPLETE))
-    return _search_masks(framework, kind)
+    components = _weak_components(framework)
+    if len(components) == 1:
+        return _searched_masks(framework, kind)
+    product = [0]
+    for component in components:
+        if component & focus or kind is SemanticsKind.STABLE:
+            sub = induced_subframework(framework, ArgSet(framework, component))
+            family = _searched_masks(sub, kind)
+            if not family:
+                return []
+            if component & focus:
+                bits = [1 << i for i in _iter_bits(component)]
+                lifted = [sum(bits[k] for k in _iter_bits(mask)) for mask in family]
+                product = [mask | member for member in lifted for mask in product]
+    return product
 
 
 def enumerate_extensions(
@@ -267,10 +312,10 @@ def justification(
     if semantics not in _JUSTIFICATION_KINDS:
         raise ValueError(
             f"justification is defined for {[k.value for k in _JUSTIFICATION_KINDS]}, "
-            f"not {semantics.value!r}"
+            f"not {getattr(semantics, 'value', semantics)!r}"
         )
     bit = 1 << resolved.index
-    masks = _family_masks(framework, semantics, max_args)
+    masks = _family_masks(framework, semantics, max_args, focus=bit)
     credulous = any(mask & bit for mask in masks)
     sceptical = bool(masks) and all(mask & bit for mask in masks)
     return JustificationStatus(resolved, semantics, credulous, sceptical)

@@ -1,7 +1,7 @@
 """Structural and meta-semantic classification of a framework.
 
-Cycle and controversy queries work on walk parity: one reachability
-closure over (argument, parity) pairs answers every odd/even query. "Path"
+Cycle and controversy queries work on walk parity: a reachability closure
+over (argument, parity) pairs answers whole-framework queries. "Path"
 here means walk, repeats allowed: a self-loop traversed twice is an even
 walk, which is exactly how controversy behaves. The well-foundedness and
 limited-controversy predicates implement the finite specialisations
@@ -16,7 +16,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Optional, Union
 
-from .core import ArgSet, ArgumentId, Framework, _iter_bits
+from .core import ArgSet, ArgumentId, Framework, _forward_mask, _iter_bits
 from .semantics import SemanticsKind, TooLarge, _family_masks, grounded
 
 
@@ -197,13 +197,37 @@ def is_well_founded(framework: Framework) -> bool:
     return not has_directed_cycle(framework)
 
 
+_EVEN, _ODD = 1, 2  # bit ``1 << p`` stands for walk parity ``p``
+
+
+def _has_walks(
+    framework: Framework, a: Union[ArgumentId, str], b: Union[ArgumentId, str], parities: int
+) -> bool:
+    """Whether walks of every parity in ``parities`` lead from ``a`` to ``b``.
+
+    A breadth-first search over (argument, walk parity) pairs from ``a`` at
+    even parity, one layer per walk length, that stops once it has reached
+    ``b`` at every parity asked for.
+    """
+    src, dst = framework.resolve(a).index, framework.resolve(b).index
+    reached = [1 << src, 0]  # arguments reached by an even, an odd walk
+    frontier, parity = 1 << src, 0
+    while frontier:
+        if frontier >> dst & 1:
+            parities &= ~(1 << parity)
+            if not parities:
+                return True
+        parity ^= 1
+        frontier = _forward_mask(framework, frontier) & ~reached[parity]
+        reached[parity] |= frontier
+    return False
+
+
 def indirectly_attacks(
     framework: Framework, a: Union[ArgumentId, str], b: Union[ArgumentId, str]
 ) -> bool:
     """Whether an odd-length directed walk leads from ``a`` to ``b``."""
-    src = framework.resolve(a)
-    dst = framework.resolve(b)
-    return bool(_parity_closure(framework)[src.index] >> (len(framework) + dst.index) & 1)
+    return _has_walks(framework, a, b, _ODD)
 
 
 def indirectly_defends(
@@ -213,19 +237,14 @@ def indirectly_defends(
 
     The length-0 walk counts, so every argument indirectly defends itself.
     """
-    src = framework.resolve(a)
-    dst = framework.resolve(b)
-    return bool(_parity_closure(framework)[src.index] >> dst.index & 1)
+    return _has_walks(framework, a, b, _EVEN)
 
 
 def is_controversial_wrt(
     framework: Framework, a: Union[ArgumentId, str], b: Union[ArgumentId, str]
 ) -> bool:
     """Whether ``a`` both indirectly attacks and indirectly defends ``b``."""
-    src = framework.resolve(a)
-    dst = framework.resolve(b)
-    reach = _parity_closure(framework)[src.index]
-    return bool(reach >> dst.index & reach >> (len(framework) + dst.index) & 1)
+    return _has_walks(framework, a, b, _EVEN | _ODD)
 
 
 def controversial_arguments(framework: Framework) -> ArgSet:

@@ -1,5 +1,6 @@
 """The exhaustive-sweep reference implementation."""
 
+import math
 import random
 
 import pytest
@@ -70,6 +71,70 @@ def _oracle_families(f):
     }
 
 
+JUSTIFIED_KINDS = (
+    SemanticsKind.COMPLETE,
+    SemanticsKind.PREFERRED,
+    SemanticsKind.STABLE,
+    SemanticsKind.GROUNDED,
+)
+
+
+def _assert_justification(f, families):
+    """Both acceptance modes of every argument, against oracle families."""
+    for kind in JUSTIFIED_KINDS:
+        family = families[kind]
+        for a in f.arguments:
+            status = justification(f, a, kind)
+            credulous = any(a.name in s for s in family)
+            sceptical = bool(family) and all(a.name in s for s in family)
+            assert (status.credulous, status.sceptical) == (
+                credulous,
+                sceptical,
+            ), (kind, a, f.attacks)
+
+
+def _assert_product_of_parts(parts, union):
+    """The union's families, justification and counts against its parts'."""
+    _assert_same_lists(union)
+    _assert_justification(union, _oracle_families(union))
+    counts = classify(union).extension_counts
+    part_counts = [classify(part).extension_counts for part in parts]
+    for kind in SemanticsKind:
+        assert counts[kind] == math.prod(c[kind] for c in part_counts), kind
+
+
+def _union(parts, order):
+    """The disjoint union of ``parts``, its arguments declared in ``order``."""
+    pairs = [(s.name, d.name) for part in parts for s, d in part.attacks]
+    return build_framework(order, pairs)
+
+
+@st.composite
+def _disjoint_unions(draw):
+    """2-4 parts, 12 arguments in all at most, declared interleaved.
+
+    A part is a directed cycle or random attacks with at most one
+    self-loop. A one-argument part is isolated or self-attacking; an odd
+    cycle has no stable extension, so neither has the union.
+    """
+    count = draw(st.integers(2, 4))
+    left = 12
+    parts = []
+    for j in range(count):
+        size = draw(st.integers(1, min(6, left - (count - j - 1))))
+        left -= size
+        names = [f"p{j}x{i}" for i in range(size)]
+        if draw(st.integers(0, 2)) == 0:
+            pairs = [(names[i], names[(i + 1) % size]) for i in range(size)]
+        else:
+            cells = [(src, dst) for src in names for dst in names if src != dst]
+            pairs = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+            pairs += [(x, x) for x in draw(st.lists(st.sampled_from(names), max_size=1))]
+        parts.append(build_framework(names, pairs))
+    order = draw(st.permutations([a.name for part in parts for a in part.arguments]))
+    return parts, _union(parts, order)
+
+
 @st.composite
 def _sparse_frameworks(draw):
     """n <= 12, attack density 0.05-0.4, self-loops allowed.
@@ -110,6 +175,22 @@ class TestAgainstFastPath:
     def test_sparse_frameworks_all_kinds(self, f):
         _assert_same_lists(f)
 
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_disjoint_unions())
+    def test_disjoint_unions(self, parts_and_union):
+        _assert_product_of_parts(*parts_and_union)
+
+    def test_disjoint_union_of_every_part_shape(self):
+        parts = [
+            build_framework(["a", "b"], [("a", "b"), ("b", "a")]),
+            build_framework(["i"], []),
+            build_framework(["s"], [("s", "s")]),
+            build_framework(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")]),
+        ]
+        union = _union(parts, ["x", "a", "s", "y", "i", "b", "z"])
+        assert enumerate_extensions(union, SemanticsKind.STABLE) == []
+        _assert_product_of_parts(parts, union)
+
     def test_grounded_matches_iteration(self):
         rng = random.Random(52)
         for _ in range(60):
@@ -125,22 +206,7 @@ class TestConsumersAgainstOracle:
         rng = random.Random(54)
         for _ in range(60):
             f = random_framework(rng, max_size=8)
-            families = _oracle_families(f)
-            for kind in (
-                SemanticsKind.COMPLETE,
-                SemanticsKind.PREFERRED,
-                SemanticsKind.STABLE,
-                SemanticsKind.GROUNDED,
-            ):
-                family = families[kind]
-                for a in f.arguments:
-                    status = justification(f, a, kind)
-                    credulous = any(a.name in s for s in family)
-                    sceptical = bool(family) and all(a.name in s for s in family)
-                    assert (status.credulous, status.sceptical) == (
-                        credulous,
-                        sceptical,
-                    ), (kind, a, f.attacks)
+            _assert_justification(f, _oracle_families(f))
 
     def test_classify(self):
         rng = random.Random(55)

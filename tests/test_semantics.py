@@ -1,6 +1,7 @@
 """Membership predicates, enumeration, and justification queries."""
 
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from argsolve import (
     justification,
     unattacked,
 )
+from argsolve import semantics
 from random_frameworks import random_framework
 
 
@@ -199,6 +201,15 @@ class TestEnumerate:
         for kind in SemanticsKind:
             assert _family(f, kind) == {()}
 
+    def test_single_component_is_searched_in_place(self, monkeypatch):
+        def refuse(framework, members):
+            raise AssertionError("one component was split into a subframework")
+
+        monkeypatch.setattr(semantics, "induced_subframework", refuse)
+        f = ex.floating_reinstatement()
+        assert _family(f, SemanticsKind.PREFERRED) == {("a", "e"), ("b", "e")}
+        assert justification(f, "e", SemanticsKind.STABLE).sceptical
+
 
 class TestJustification:
     def test_sceptical_preferred(self):
@@ -241,6 +252,20 @@ class TestJustification:
         for kind in (SemanticsKind.PREFERRED, SemanticsKind.GROUNDED):
             with pytest.raises(ValueError, match="max_args"):
                 justification(f, f.arguments[0], kind, max_args=-1)
+
+    def test_string_kind_is_rejected(self):
+        f = ex.floating_reinstatement()
+        for kind in SemanticsKind:
+            with pytest.raises(ValueError, match=re.escape(repr(kind.value))):
+                justification(f, "e", kind.value)
+
+    def test_stable_needs_every_component(self):
+        # the self-attacker's component has no stable extension, so no part does
+        f = build_framework(["a", "b", "s"], [("a", "b"), ("b", "a"), ("s", "s")])
+        for name in ("a", "b"):
+            status = justification(f, name, SemanticsKind.STABLE)
+            assert (status.credulous, status.sceptical) == (False, False)
+        assert justification(f, "a", SemanticsKind.PREFERRED).credulous
 
     def test_non_justification_kind_rejected(self):
         with pytest.raises(ValueError):

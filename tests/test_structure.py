@@ -26,6 +26,7 @@ from argsolve import (
     is_well_founded,
     odd_cycle_exists,
 )
+from argsolve import structure
 from random_frameworks import (
     random_acyclic_framework,
     random_framework,
@@ -238,6 +239,18 @@ def _walks_by_parity(framework, max_len):
     return out
 
 
+def _assert_walk_parity_predicates(f):
+    n = len(f)
+    walks = _walks_by_parity(f, 2 * n + 2)
+    for a in f.arguments:
+        for b in f.arguments:
+            expect_attack = (b.index, 1) in walks[a.index]
+            expect_defend = a == b or (b.index, 0) in walks[a.index]
+            assert indirectly_attacks(f, a, b) == expect_attack
+            assert indirectly_defends(f, a, b) == expect_defend
+            assert is_controversial_wrt(f, a, b) == (expect_attack and expect_defend)
+
+
 def _simple_cycle_lengths(framework):
     """Every simple directed cycle length, by brute-force path extension."""
     n = len(framework)
@@ -286,17 +299,21 @@ class TestAgainstBruteForce:
 
     def test_walk_parity_predicates(self):
         for f in _random_frameworks(72, 100, (6, 12)):
-            n = len(f)
-            walks = _walks_by_parity(f, 2 * n + 2)
-            for a in f.arguments:
-                for b in f.arguments:
-                    expect_attack = (b.index, 1) in walks[a.index]
-                    expect_defend = a == b or (b.index, 0) in walks[a.index]
-                    assert indirectly_attacks(f, a, b) == expect_attack
-                    assert indirectly_defends(f, a, b) == expect_defend
-                    assert is_controversial_wrt(f, a, b) == (
-                        expect_attack and expect_defend
-                    )
+            _assert_walk_parity_predicates(f)
+
+    def test_pair_queries_build_no_closure(self, monkeypatch):
+        def refuse(framework):
+            raise AssertionError("a pair query built the whole parity closure")
+
+        monkeypatch.setattr(structure, "_parity_closure", refuse)
+        for f in _random_frameworks(76, 30, (6, 12)):
+            _assert_walk_parity_predicates(f)
+        names = [f"x{i}" for i in range(3000)]
+        chain = build_framework(names, list(zip(names, names[1:])))
+        assert indirectly_attacks(chain, "x0", "x2999")
+        assert not indirectly_defends(chain, "x0", "x2999")
+        assert indirectly_defends(chain, "x1", "x2999")
+        assert not is_controversial_wrt(chain, "x0", "x2999")
 
     def test_controversial_argument_collection(self):
         for f in _random_frameworks(73, 100, (6, 12)):
