@@ -5,8 +5,8 @@ indices, ``_search_masks``, which takes its pruning from the family's
 definition: conflict-free, self-defending, or both. Preferred extensions
 are the inclusion-maximal complete ones; the grounded extension needs no
 search. Every definition looks only at an argument's attackers, so a
-family is the product of the families of the weakly connected components,
-each searched alone; a framework of one component is searched directly.
+family is the product of the families of the weakly connected components;
+each component is searched on the framework's own masks, in its bits.
 
 Families are unordered bit masks (``_family_masks``); queries that
 only count or test membership read those directly. ``enumerate_extensions``
@@ -31,7 +31,6 @@ from .core import (
     _iter_bits,
     _render,
     _require_tagged,
-    induced_subframework,
 )
 from .operators import kleene_least_fixpoint, _defence_mask, _neutrality_mask
 
@@ -128,20 +127,26 @@ def grounded(framework: Framework) -> Extension:
     return Extension(trace.fixpoint, SemanticsKind.GROUNDED)
 
 
-def _search_masks(framework: Framework, kind: SemanticsKind) -> list[int]:
-    """DFS over indices whose prunes and leaf test follow ``kind``'s definition.
+def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list[int]:
+    """DFS over the indices in ``scope``, pruned and leaf-tested as ``kind`` says.
 
+    ``scope`` is a union of weakly connected components, which hold their
+    members' attackers, so every set found is in the framework's own bits.
     Every kind but self-defending is conflict-free: a branch may not add an
     argument that attacks, or is attacked by, itself or the current set.
     Every kind but conflict-free and naive defends itself: a branch dies as
     soon as some current attacker can never be counterattacked by any
     argument still undecided, which at a leaf is exactly self-defence.
-    Complete, stable and naive sets pass one more test at the leaf.
+    Complete, stable and naive sets pass one more test at the leaf;
+    preferred keeps the maximal complete sets.
     """
-    n = len(framework.arguments)
-    succ = framework._succ_masks
-    pred = framework._pred_masks
-    full = framework._full_mask
+    if kind is SemanticsKind.PREFERRED:
+        return _maximal_masks(_search_masks(framework, SemanticsKind.COMPLETE, scope))
+    positions = list(_iter_bits(scope))
+    n = len(positions)
+    bits = [1 << i for i in positions]
+    succ = [framework._succ_masks[i] for i in positions]
+    pred = [framework._pred_masks[i] for i in positions]
     loops = framework._self_loop_mask
     conflict_free = kind is not SemanticsKind.SELF_DEFENDING
     defends = kind is not SemanticsKind.CONFLICT_FREE and kind is not SemanticsKind.NAIVE
@@ -150,7 +155,7 @@ def _search_masks(framework: Framework, kind: SemanticsKind) -> list[int]:
     stable = kind is SemanticsKind.STABLE
     results: list[int] = []
 
-    # unanswerable[k] = every argument that no index >= k attacks
+    # unanswerable[k] = every argument that no position >= k attacks
     unanswerable = [-1] * (n + 1)
     for k in range(n - 1, -1, -1):
         unanswerable[k] = unanswerable[k + 1] & ~succ[k]
@@ -162,18 +167,21 @@ def _search_masks(framework: Framework, kind: SemanticsKind) -> list[int]:
                 return
             if index == n:
                 if naive:
-                    if full & ~(cur | fwd | bwd | loops) == 0:
+                    if scope & ~(cur | fwd | bwd | loops) == 0:
                         results.append(cur)
                 elif complete:
-                    if _defence_mask(framework, cur) == cur:
+                    for k in range(n):  # cur defends itself, and must defend no other
+                        if pred[k] & ~fwd == 0 and not cur & bits[k]:
+                            break
+                    else:
                         results.append(cur)
                 elif stable:
-                    if full & ~fwd == cur:
+                    if scope & ~fwd == cur:
                         results.append(cur)
                 else:
                     results.append(cur)
                 return
-            bit = 1 << index
+            bit = bits[index]
             if not (conflict_free and (fwd | bwd | loops) & bit):
                 recurse(index + 1, cur | bit, fwd | succ[index], bwd | pred[index])
             index += 1
@@ -211,49 +219,39 @@ def _weak_components(framework: Framework) -> list[int]:
     return components
 
 
-def _searched_masks(framework: Framework, kind: SemanticsKind) -> list[int]:
-    """``kind``'s family by search; preferred keeps the maximal complete sets."""
-    if kind is SemanticsKind.PREFERRED:
-        return _maximal_masks(_search_masks(framework, SemanticsKind.COMPLETE))
-    return _search_masks(framework, kind)
-
-
 def _family_masks(
     framework: Framework, kind: SemanticsKind, max_args: Optional[int], focus: int = -1
 ) -> list[int]:
     """Every extension of ``kind`` as a bit mask, in no particular order.
 
-    Grounded needs no search and is exempt from the bound; above it a
-    searched kind raises TooLarge. A negative bound, or a ``kind`` that is
-    not a SemanticsKind, is a ValueError. An argument's attackers share its
+    A negative bound, or a ``kind`` that is not a SemanticsKind, is a
+    ValueError. Grounded needs no search and is exempt from the bound; above
+    it a searched kind raises TooLarge. An argument's attackers share its
     weakly connected component, so a searched family is the product of the
-    components' families, each searched alone (a single one in place).
+    components' families, each searched on the framework's own masks.
     Only the components meeting ``focus`` enter the product; the others are
     searched only for stable, where an empty family empties the product.
     """
     if max_args is not None and max_args < 0:
         raise ValueError(f"max_args must be nonnegative, got {max_args}")
+    if not isinstance(kind, SemanticsKind):
+        raise ValueError(f"unknown semantics kind: {kind!r}")
     if kind is SemanticsKind.GROUNDED:
         return [grounded(framework).members.mask]
     bound = DEFAULT_MAX_ARGS if max_args is None else max_args
     if len(framework.arguments) > bound:
         raise TooLarge(len(framework.arguments), bound)
-    if not isinstance(kind, SemanticsKind):
-        raise ValueError(f"unknown semantics kind: {kind!r}")
-    components = _weak_components(framework)
-    if len(components) == 1:
-        return _searched_masks(framework, kind)
     product = [0]
-    for component in components:
+    for component in _weak_components(framework):
         if component & focus or kind is SemanticsKind.STABLE:
-            sub = induced_subframework(framework, ArgSet(framework, component))
-            family = _searched_masks(sub, kind)
+            family = _search_masks(framework, kind, component)
             if not family:
                 return []
             if component & focus:
-                bits = [1 << i for i in _iter_bits(component)]
-                lifted = [sum(bits[k] for k in _iter_bits(mask)) for mask in family]
-                product = [mask | member for member in lifted for mask in product]
+                # [0] is the unit of the product: the first family stands as it is
+                product = family if product == [0] else [
+                    mask | member for member in family for mask in product
+                ]
     return product
 
 

@@ -14,12 +14,14 @@ from argsolve import (
     build_framework,
     classify,
     enumerate_extensions,
+    induced_subframework,
     is_coherent,
     is_relatively_grounded,
     justification,
     kleene_least_fixpoint,
     oracle_enumerate,
 )
+from argsolve import semantics
 from random_frameworks import random_framework, random_shuffled_names_framework
 
 
@@ -179,6 +181,24 @@ class TestAgainstFastPath:
     @given(_disjoint_unions())
     def test_disjoint_unions(self, parts_and_union):
         _assert_product_of_parts(*parts_and_union)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_disjoint_unions(), st.data())
+    def test_search_on_a_scope(self, parts_and_union, data):
+        # a scope of some parts: neither one component nor the whole framework
+        parts, union = parts_and_union
+        chosen = data.draw(st.sets(st.integers(0, len(parts) - 1), min_size=1))
+        names = [a.name for j in sorted(chosen) for a in parts[j].arguments]
+        scope = union.set_of(names)
+        sub = induced_subframework(union, scope)
+        for kind in SemanticsKind:
+            if kind is SemanticsKind.GROUNDED:
+                continue
+            expected = [
+                union.set_of(s.names()).mask for s in oracle_enumerate(sub, kind).extensions
+            ]
+            found = semantics._search_masks(union, kind, scope.mask)
+            assert sorted(found) == sorted(expected), (kind, names, union.attacks)
 
     def test_disjoint_union_of_every_part_shape(self):
         parts = [

@@ -23,7 +23,7 @@ from argsolve import (
     justification,
     unattacked,
 )
-from argsolve import semantics
+from argsolve import core
 from random_frameworks import random_framework
 
 
@@ -191,24 +191,49 @@ class TestEnumerate:
             enumerate_extensions(f, SemanticsKind.ADMISSIBLE, max_args=0)
 
     def test_string_kind_is_rejected(self):
-        f = ex.floating_reinstatement()
-        for kind in SemanticsKind:
-            with pytest.raises(ValueError, match="unknown semantics kind"):
-                enumerate_extensions(f, kind.value)
+        # the kind is checked before the bound: 25 arguments are not TooLarge here
+        large = build_framework([f"x{i}" for i in range(25)], [])
+        for f in (ex.floating_reinstatement(), large):
+            for kind in SemanticsKind:
+                with pytest.raises(ValueError, match="unknown semantics kind"):
+                    enumerate_extensions(f, kind.value)
 
     def test_empty_framework_families(self):
         f = ex.empty()
         for kind in SemanticsKind:
             assert _family(f, kind) == {()}
 
-    def test_single_component_is_searched_in_place(self, monkeypatch):
-        def refuse(framework, members):
-            raise AssertionError("one component was split into a subframework")
+    def test_no_search_builds_a_framework(self, monkeypatch):
+        # every component is searched on the framework's own masks
+        single = ex.floating_reinstatement()
+        multi = build_framework(
+            ["a", "x", "b", "i", "y", "c"],
+            [("a", "b"), ("b", "a"), ("x", "y"), ("y", "x"), ("b", "c")],
+        )
 
-        monkeypatch.setattr(semantics, "induced_subframework", refuse)
-        f = ex.floating_reinstatement()
-        assert _family(f, SemanticsKind.PREFERRED) == {("a", "e"), ("b", "e")}
-        assert justification(f, "e", SemanticsKind.STABLE).sceptical
+        def answers(f):
+            families = [
+                [e.members.names() for e in enumerate_extensions(f, kind)]
+                for kind in SemanticsKind
+            ]
+            statuses = [
+                justification(f, a, kind)
+                for a in f.arguments
+                for kind in (
+                    SemanticsKind.COMPLETE,
+                    SemanticsKind.PREFERRED,
+                    SemanticsKind.STABLE,
+                )
+            ]
+            return families, statuses
+
+        expected = [answers(f) for f in (single, multi)]
+
+        def refuse(self, names, attack_pairs):
+            raise AssertionError("a search built a Framework")
+
+        monkeypatch.setattr(core.Framework, "__init__", refuse)
+        assert [answers(f) for f in (single, multi)] == expected
 
 
 class TestJustification:
