@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .core import ArgsolveError
@@ -27,6 +28,7 @@ from .formats import (
 )
 from .operators import kleene_least_fixpoint
 from .semantics import (
+    _JUSTIFICATION_KINDS,
     SemanticsKind,
     TooLarge,
     enumerate_extensions,
@@ -39,7 +41,7 @@ MAX_ARGS_ENV_VAR = "ARGSOLVE_MAX_ARGS"
 _EXTENSION_SEMANTICS = [
     k.value for k in SemanticsKind if k is not SemanticsKind.SELF_DEFENDING
 ]
-_JUSTIFY_SEMANTICS = ["complete", "preferred", "stable", "grounded"]
+_JUSTIFY_SEMANTICS = [k.value for k in _JUSTIFICATION_KINDS]
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -108,9 +110,16 @@ def _effective_max_args(flag_value: Optional[int]) -> Optional[int]:
     return value
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"argsolve: warning: {message}", file=sys.stderr)
+
+
 def _load(args: argparse.Namespace):
+    """Parse the input file; each parser warning prints as one stderr line."""
     forced = InputFormat(args.format) if args.format else None
-    return load_framework(args.file, forced)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return load_framework(args.file, forced)
 
 
 def _output(args: argparse.Namespace, result, emit, to_data) -> str:

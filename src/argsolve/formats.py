@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -232,23 +233,9 @@ def emit_dot(framework: Framework) -> str:
     return "\n".join(lines) + "\n"
 
 
-_REPORT_FIELDS = (
-    "is_empty",
-    "is_trivial",
-    "is_symmetric",
-    "is_finitary",
-    "has_self_attack",
-    "is_acyclic",
-    "is_well_founded",
-    "has_odd_cycle",
-    "has_even_cycle",
-    "is_controversial",
-    "is_limited_controversial",
-    "grounded_size",
-    "is_coherent",
-    "is_relatively_grounded",
-    "preferred_covers_all",
-    "all_dung_semantics_coincide",
+# the report's fields in declaration order; the counts map renders on its own
+_REPORT_FIELDS = tuple(
+    f.name for f in fields(ClassificationReport) if f.name != "extension_counts"
 )
 
 

@@ -80,10 +80,8 @@ def defends(framework: Framework, members: ArgSet, arg: Union[ArgumentId, str]) 
     return framework._pred_masks[resolved.index] & ~fwd == 0
 
 
-def _iterate(
-    framework: Framework, start: int, mask_fn: Callable[[Framework, int], int]
-) -> IterationTrace:
-    """Apply ``mask_fn`` from ``start`` until two consecutive values agree.
+def _iterate(framework: Framework, start: int) -> IterationTrace:
+    """Iterate defence from ``start`` until two consecutive values agree.
 
     Stops unconverged after ``len(framework) + 1`` applications. A monotone
     operator started from the empty set climbs a strictly ascending chain
@@ -93,7 +91,7 @@ def _iterate(
     current = start
     converged = False
     for _ in range(len(framework.arguments) + 1):
-        nxt = mask_fn(framework, current)
+        nxt = _defence_mask(framework, current)
         if nxt == current:
             converged = True
             break
@@ -109,14 +107,7 @@ def kleene_least_fixpoint(framework: Framework) -> IterationTrace:
 
     The final step is the grounded extension.
     """
-    return _iterate(framework, 0, _defence_mask)
-
-
-# the two monotone operators; raw neutrality is antitone and stays out
-_ITERABLE_FUNCTIONS: dict[Callable, Callable[[Framework, int], int]] = {
-    defence: _defence_mask,
-    neutrality_squared: lambda fw, m: _neutrality_mask(fw, _neutrality_mask(fw, m)),
-}
+    return _iterate(framework, 0)
 
 
 def iterate_to_fixpoint(
@@ -126,18 +117,17 @@ def iterate_to_fixpoint(
 ) -> IterationTrace:
     """Repeatedly apply a monotone operator until it stops changing.
 
-    Only ``defence`` and ``neutrality_squared`` are accepted; raw
-    ``neutrality`` is antitone and may oscillate forever, so it is
-    rejected rather than silently looping. Iteration stops after two
-    consecutive equal values or after ``len(framework) + 1`` applications,
-    in which case ``converged`` is false.
+    Only ``defence`` and ``neutrality_squared`` are accepted, and both are
+    iterated as defence, which they equal pointwise; raw ``neutrality`` is
+    antitone and may oscillate forever, so it is rejected rather than
+    silently looping. Iteration stops after two consecutive equal values or
+    after ``len(framework) + 1`` applications, in which case ``converged``
+    is false.
     """
     _require_tagged(framework, start)
-    try:
-        mask_fn = _ITERABLE_FUNCTIONS[fn]
-    except (KeyError, TypeError):
+    if fn is not defence and fn is not neutrality_squared:
         raise ValueError(
             "iterate_to_fixpoint accepts only the monotone operators "
             "defence and neutrality_squared"
-        ) from None
-    return _iterate(framework, start.mask, mask_fn)
+        )
+    return _iterate(framework, start.mask)

@@ -2,8 +2,8 @@
 
 Every searched family comes from one depth-first search over argument
 indices, ``_search_masks``, which takes its pruning from the family's
-definition: conflict-free, self-defending, or both. Preferred extensions
-are the inclusion-maximal complete ones; the grounded extension needs no
+definition: conflict-free, self-defending, or both. Preferred, a maximal
+admissible set, is decided at the leaf that finds it; grounded needs no
 search. Every definition looks only at an argument's attackers, so a
 family is the product of the families of the weakly connected components;
 each component is searched on the framework's own masks, in its bits.
@@ -137,11 +137,9 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     Every kind but conflict-free and naive defends itself: a branch dies as
     soon as some current attacker can never be counterattacked by any
     argument still undecided, which at a leaf is exactly self-defence.
-    Complete, stable and naive sets pass one more test at the leaf;
-    preferred keeps the maximal complete sets.
+    Complete, stable and naive sets pass one more test at the leaf, and a
+    preferred set is kept unless a set kept before it contains it.
     """
-    if kind is SemanticsKind.PREFERRED:
-        return _maximal_masks(_search_masks(framework, SemanticsKind.COMPLETE, scope))
     positions = list(_iter_bits(scope))
     n = len(positions)
     bits = [1 << i for i in positions]
@@ -153,6 +151,7 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     naive = kind is SemanticsKind.NAIVE
     complete = kind is SemanticsKind.COMPLETE
     stable = kind is SemanticsKind.STABLE
+    plain = not (naive or complete or stable or kind is SemanticsKind.PREFERRED)
     results: list[int] = []
 
     # unanswerable[k] = every argument that no position >= k attacks
@@ -166,7 +165,9 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
             if defends and bwd & ~fwd & unanswerable[index]:
                 return
             if index == n:
-                if naive:
+                if plain:
+                    results.append(cur)
+                elif naive:
                     if scope & ~(cur | fwd | bwd | loops) == 0:
                         results.append(cur)
                 elif complete:
@@ -179,7 +180,14 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
                     if scope & ~fwd == cur:
                         results.append(cur)
                 else:
-                    results.append(cur)
+                    # preferred: cur is admissible, and including recurses before
+                    # excluding, so every admissible strict superset of cur was found
+                    # first; cur is maximal unless a set kept so far contains it
+                    for kept in results:
+                        if cur | kept == kept:
+                            break
+                    else:
+                        results.append(cur)
                 return
             bit = bits[index]
             if not (conflict_free and (fwd | bwd | loops) & bit):
@@ -188,15 +196,6 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
 
     recurse(0, 0, 0, 0)
     return results
-
-
-def _maximal_masks(masks: list[int]) -> list[int]:
-    """Filter a family of bit masks down to its inclusion-maximal members."""
-    maximal: list[int] = []
-    for mask in sorted(masks, key=lambda m: m.bit_count(), reverse=True):
-        if not any(mask | kept == kept for kept in maximal):
-            maximal.append(mask)
-    return maximal
 
 
 def _weak_components(framework: Framework) -> list[int]:

@@ -193,6 +193,13 @@ class TestValidateAndErrors:
             assert code == 2 and out == ""
             assert name in err
 
+    def test_parser_warning_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "af.tgf"
+        path.write_text("a label\n#\n", encoding="utf-8")
+        code, out, err = run(capsys, "extensions", "-f", str(path), "-s", "grounded")
+        assert (code, out) == (0, "[a]\n")
+        assert err == "argsolve: warning: TGF line 1: ignoring node label 'label'\n"
+
     def test_undeclared_endpoint_names_its_line(self, capsys, tmp_path):
         path = tmp_path / "af.tgf"
         path.write_text("a\n#\na b\n", encoding="utf-8")

@@ -211,6 +211,24 @@ class TestAgainstFastPath:
         assert enumerate_extensions(union, SemanticsKind.STABLE) == []
         _assert_product_of_parts(parts, union)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_preferred_on_one_component_with_many_complete_sets(self, k):
+        # k mutual pairs a_i <-> b_i and one argument every a_i attacks: one
+        # weak component with 3^k complete and 2^k preferred sets, where the
+        # preferred leaf test must meet every strict superset before the set
+        names = [f"{side}{i}" for i in range(k) for side in "ab"] + ["c"]
+        pairs = [(f"a{i}", f"b{i}") for i in range(k)]
+        pairs += [(b, a) for a, b in pairs] + [(f"a{i}", "c") for i in range(k)]
+        rng = random.Random(57 + k)
+        for _ in range(4):
+            rng.shuffle(names)
+            f = build_framework(names, pairs)
+            fast = [e.members for e in enumerate_extensions(f, SemanticsKind.PREFERRED)]
+            assert fast == oracle_enumerate(f, SemanticsKind.PREFERRED).extensions
+            assert len(fast) == 2**k
+            found = semantics._search_masks(f, SemanticsKind.PREFERRED, f._full_mask)
+            assert len(set(found)) == len(found), names
+
     def test_grounded_matches_iteration(self):
         rng = random.Random(52)
         for _ in range(60):

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import af_examples as ex
 from argsolve import (
@@ -12,12 +14,15 @@ from argsolve import (
     TooLarge,
     UnknownArgument,
     build_framework,
+    controversial_arguments,
     defence,
     enumerate_extensions,
     grounded,
     is_admissible,
+    is_coherent,
     is_complete,
     is_conflict_free,
+    is_relatively_grounded,
     is_self_defending,
     is_stable,
     justification,
@@ -389,3 +394,58 @@ class TestFamilyLaws:
                 for i, s in enumerate(family):
                     for t in family[i + 1:]:
                         assert not (s <= t) and not (t <= s)
+
+
+def _some_of(draw, cells):
+    """A share of 0.02-0.4 of the attack ``cells``, drawn without repeats."""
+    if not cells:
+        return []
+    count = round(draw(st.floats(0.02, 0.4)) * len(cells))
+    return draw(st.lists(st.sampled_from(cells), min_size=count, max_size=count, unique=True))
+
+
+@st.composite
+def _frameworks(draw):
+    """n <= 14, self-loops allowed."""
+    names = [f"x{i}" for i in range(draw(st.integers(0, 14)))]
+    return build_framework(names, _some_of(draw, [(s, d) for s in names for d in names]))
+
+
+@st.composite
+def _uncontroversial_frameworks(draw):
+    """n <= 14; attacks only between layers an odd distance apart.
+
+    Every attack changes the layer's parity, so all walks between two
+    arguments have one parity and no argument is controversial; even
+    cycles, such as mutual attacks between adjacent layers, still occur.
+    """
+    names = [f"x{i}" for i in range(draw(st.integers(0, 14)))]
+    layer = {name: draw(st.integers(0, 3)) for name in names}
+    cells = [(s, d) for s in names for d in names if (layer[s] - layer[d]) % 2]
+    return build_framework(names, _some_of(draw, cells))
+
+
+class TestDungTheorems:
+    """Dung 1995, Section 2, on the fast path; numbering as in the paper."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_frameworks())
+    def test_admissible_sets_lie_in_preferred_extensions(self, f):
+        # Theorem 11
+        preferred = [e.members for e in enumerate_extensions(f, SemanticsKind.PREFERRED)]
+        for e in enumerate_extensions(f, SemanticsKind.ADMISSIBLE):
+            assert any(e.members <= p for p in preferred), (e, f.attacks)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_frameworks())
+    def test_preferred_family_is_never_empty(self, f):
+        # Corollary 12
+        assert enumerate_extensions(f, SemanticsKind.PREFERRED)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_uncontroversial_frameworks())
+    def test_uncontroversial_is_coherent_and_relatively_grounded(self, f):
+        # Theorem 33(2)
+        assert not controversial_arguments(f)
+        assert is_coherent(f), f.attacks
+        assert is_relatively_grounded(f), f.attacks
