@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .core import ArgsolveError
 from .formats import (
     InputFormat,
-    ParseError,
     classification_to_data,
     emit_classification,
     emit_dot,
@@ -186,7 +185,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TooLarge as exc:
         print(f"argsolve: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ArgsolveError, OSError) as exc:
+    except (ArgsolveError, OSError) as exc:
         print(f"argsolve: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -100,16 +100,15 @@ def _render(framework: "Framework", mask: int) -> str:
 class Framework:
     """Immutable finite digraph of arguments and attacks.
 
-    Stores adjacency in both directions: ``successors(a)`` is the set of
-    arguments attacked by ``a`` and ``predecessors(a)`` the set attacking
-    it. Duplicate attack pairs collapse silently (the attack relation is a
-    set); duplicate argument names are an error. Instances are safe to
-    share across threads once constructed.
+    The attack relation is stored once, as bit masks in both directions:
+    ``successors(a)`` is the set of arguments attacked by ``a`` and
+    ``predecessors(a)`` the set attacking it. Duplicate attack pairs
+    collapse silently; duplicate argument names are an error. Instances
+    are safe to share across threads once constructed.
     """
 
     __slots__ = (
         "arguments",
-        "attacks",
         "_name_to_index",
         "_succ_masks",
         "_pred_masks",
@@ -133,7 +132,6 @@ class Framework:
         n = len(arguments)
         succ = [0] * n
         pred = [0] * n
-        loops = 0
         for src, dst in attack_pairs:
             if src not in name_to_index:
                 raise UnknownEndpoint(src)
@@ -142,26 +140,28 @@ class Framework:
             i, j = name_to_index[src], name_to_index[dst]
             succ[i] |= 1 << j
             pred[j] |= 1 << i
-            if i == j:
-                loops |= 1 << i
 
         self.arguments: tuple[ArgumentId, ...] = tuple(arguments)
-        self.attacks: frozenset[tuple[ArgumentId, ArgumentId]] = frozenset(
-            (self.arguments[i], self.arguments[j])
-            for i in range(n)
-            for j in _iter_bits(succ[i])
-        )
         self._name_to_index = name_to_index
         self._succ_masks = tuple(succ)
         self._pred_masks = tuple(pred)
         self._full_mask = (1 << n) - 1
-        self._self_loop_mask = loops
+        self._self_loop_mask = sum(1 << i for i in range(n) if succ[i] >> i & 1)
 
     def __len__(self) -> int:
         return len(self.arguments)
 
     def __repr__(self) -> str:
-        return f"<Framework |A|={len(self.arguments)} |R|={len(self.attacks)}>"
+        return f"<Framework |A|={len(self)} |R|={sum(map(int.bit_count, self._succ_masks))}>"
+
+    @property
+    def attacks(self) -> frozenset[tuple[ArgumentId, ArgumentId]]:
+        """The attack pairs, built anew from the masks on every read."""
+        arguments = self.arguments
+        return frozenset(
+            (a, arguments[j]) for a, targets in zip(arguments, self._succ_masks)
+            for j in _iter_bits(targets)
+        )
 
     def argument(self, name: str) -> ArgumentId:
         """Resolve a name to its ArgumentId, raising UnknownArgument."""

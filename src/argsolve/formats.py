@@ -172,16 +172,18 @@ def parse_apx(text: str) -> Framework:
     return _build(names, pairs)
 
 
-def parse_framework(text: str, fmt: InputFormat) -> Framework:
-    if fmt is InputFormat.TGF:
-        return parse_tgf(text)
-    return parse_apx(text)
-
-
 def load_framework(path: Union[str, Path], fmt: Optional[InputFormat] = None) -> Framework:
-    """Read and parse a framework file, inferring the format if needed."""
-    resolved = InputFormat.for_path(path, fmt)
-    return parse_framework(Path(path).read_text(encoding="utf-8"), resolved)
+    """Read and parse a framework file, inferring the format if needed.
+
+    The file is UTF-8 and a leading byte-order mark is dropped; any other
+    bytes are a ParseError that names the file and the byte offset.
+    """
+    parse = parse_tgf if InputFormat.for_path(path, fmt) is InputFormat.TGF else parse_apx
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ParseError(f"{path}: not UTF-8 at byte {error.start}") from None
+    return parse(text.removeprefix("\ufeff"))
 
 
 def _edges(framework: Framework):

@@ -263,10 +263,9 @@ def _meet(framework: Framework, masks) -> int:
 
 
 def is_coherent(framework: Framework, max_args: Optional[int] = None) -> bool:
-    """Whether the preferred and stable families are equal."""
-    return set(_family_masks(framework, SemanticsKind.PREFERRED, max_args)) == set(
-        _family_masks(framework, SemanticsKind.STABLE, max_args)
-    )
+    """Whether the preferred and stable families are equal: by Lemma 15, equally large."""
+    preferred = _family_masks(framework, SemanticsKind.PREFERRED, max_args)
+    return len(preferred) == len(_family_masks(framework, SemanticsKind.STABLE, max_args))
 
 
 def is_relatively_grounded(framework: Framework, max_args: Optional[int] = None) -> bool:
@@ -294,23 +293,23 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
     coincide: Optional[bool]
     counts: Optional[dict[SemanticsKind, int]]
     try:
-        families = {
-            kind: set(_family_masks(framework, kind, max_args)) for kind in SemanticsKind
-        }
-        counts = {kind: len(families[kind]) for kind in SemanticsKind}
+        families = {kind: _family_masks(framework, kind, max_args) for kind in SemanticsKind}
+        counts = {kind: len(family) for kind, family in families.items()}
         preferred = families[SemanticsKind.PREFERRED]
-        stable = families[SemanticsKind.STABLE]
-        coherent = preferred == stable
+        # Dung 1995: stable lies inside preferred (Lemma 15), so equal counts are equal
+        # families; a sole complete extension is grounded (Thm 25) and the sole preferred
+        # one (Cor 12), so a sole stable extension is that same set
+        coherent = counts[SemanticsKind.PREFERRED] == counts[SemanticsKind.STABLE]
         relatively_grounded = _meet(framework, preferred) == grounded_mask
         covers = reduce(or_, preferred, 0) == framework._full_mask
-        coincide = families[SemanticsKind.COMPLETE] == preferred == stable == {grounded_mask}
+        coincide = counts[SemanticsKind.COMPLETE] == counts[SemanticsKind.STABLE] == 1
     except TooLarge:
         coherent = relatively_grounded = covers = coincide = None
         counts = None
 
     return ClassificationReport(
         is_empty=len(framework.arguments) == 0,
-        is_trivial=len(framework.attacks) == 0,
+        is_trivial=not any(framework._succ_masks),
         is_symmetric=is_symmetric(framework),
         is_finitary=True,
         has_self_attack=framework._self_loop_mask != 0,

@@ -200,6 +200,13 @@ class TestValidateAndErrors:
         assert (code, out) == (0, "[a]\n")
         assert err == "argsolve: warning: TGF line 1: ignoring node label 'label'\n"
 
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.tgf"
+        path.write_bytes(b"a\nb\xe9\n#\n")
+        code, out, err = run(capsys, "validate", "-f", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"argsolve: {path}: not UTF-8 at byte 3\n"
+
     def test_undeclared_endpoint_names_its_line(self, capsys, tmp_path):
         path = tmp_path / "af.tgf"
         path.write_text("a\n#\na b\n", encoding="utf-8")

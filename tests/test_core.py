@@ -8,6 +8,7 @@ import af_examples as ex
 from argsolve import (
     DuplicateArgument,
     EmptyName,
+    Framework,
     FrameworkMismatch,
     InvalidName,
     UnknownArgument,
@@ -226,3 +227,60 @@ class TestRandomisedInvariants:
             for s in family:
                 bwd_union = bwd_union | backward_set(f, s)
             assert backward_set(f, union) == bwd_union
+
+
+class TestAttackRelation:
+    """The masks are the only stored form of the attack relation."""
+
+    def test_pairs_are_derived_from_the_masks(self):
+        rng = random.Random(104)
+        for _ in range(100):
+            names = [f"x{i}" for i in range(rng.randint(0, 9))]
+            pairs = [(rng.choice(names), rng.choice(names))
+                     for _ in range(rng.randint(0, 3 * len(names)))]
+            pairs += [(x, x) for x in names if rng.random() < 0.2]
+            f = build_framework(names, pairs + pairs[: len(pairs) // 2])
+            assert isinstance(f.attacks, frozenset)
+            assert f.attacks == {(a, b) for a in f.arguments for b in f.successors(a)}
+            assert {(a.name, b.name) for a, b in f.attacks} == set(pairs)
+            assert repr(f) == f"<Framework |A|={len(names)} |R|={len(set(pairs))}>"
+        assert "attacks" not in Framework.__slots__
+
+    def test_no_library_path_reads_the_pairs(self, monkeypatch):
+        from argsolve import (
+            SemanticsKind, classify, controversial_arguments, emit_apx, emit_dot,
+            emit_tgf, enumerate_extensions, even_cycle_exists, grounded,
+            has_directed_cycle, indirectly_attacks, indirectly_defends, is_coherent,
+            is_controversial_wrt, is_limited_controversial, is_relatively_grounded,
+            is_symmetric, is_well_founded, justification, odd_cycle_exists, parse_apx,
+            parse_tgf,
+        )
+        from argsolve.semantics import _JUSTIFICATION_KINDS
+
+        # a mutual pair, a three-cycle, a self-loop and a tail
+        f = build_framework(
+            ["a", "b", "c", "d", "e", "f", "g"],
+            [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "c"),
+             ("f", "f"), ("f", "g")],
+        )
+
+        def refuse(framework):
+            raise AssertionError("Framework.attacks read by the library")
+
+        monkeypatch.setattr(Framework, "attacks", property(refuse))
+        assert repr(f) == "<Framework |A|=7 |R|=8>"
+        assert parse_tgf(emit_tgf(f)).structurally_equal(f)
+        assert parse_apx(emit_apx(f)).structurally_equal(f)
+        assert emit_dot(f)
+        for kind in SemanticsKind:
+            enumerate_extensions(f, kind)
+        for kind in _JUSTIFICATION_KINDS:
+            justification(f, "c", kind)
+        grounded(f)
+        classify(f)
+        for query in (has_directed_cycle, odd_cycle_exists, even_cycle_exists,
+                      is_well_founded, is_limited_controversial, controversial_arguments,
+                      is_symmetric, is_coherent, is_relatively_grounded):
+            query(f)
+        for query in (indirectly_attacks, indirectly_defends, is_controversial_wrt):
+            query(f, "b", "e")

@@ -1,6 +1,7 @@
 """TGF and APX parsing, emitters, DOT output."""
 
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from argsolve import (
     emit_tgf,
     enumerate_extensions,
     grounded,
+    load_framework,
     parse_apx,
     parse_tgf,
 )
@@ -191,3 +193,30 @@ class TestInputFormat:
     def test_unknown_extension(self):
         with pytest.raises(ParseError):
             InputFormat.for_path("framework.txt")
+
+
+class TestLoadFramework:
+    @pytest.mark.parametrize("suffix, text", [
+        ("tgf", "a\nb\n#\na b\n"),
+        ("apx", "arg(a).\narg(b).\natt(a,b).\n"),
+    ])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, suffix, text, newline):
+        expected = build_framework(["a", "b"], [("a", "b")])
+        data = text.replace("\n", newline).encode("utf-8")
+        plain, marked = tmp_path / f"plain.{suffix}", tmp_path / f"marked.{suffix}"
+        plain.write_bytes(data)
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        assert load_framework(plain).structurally_equal(expected)
+        assert load_framework(marked).structurally_equal(expected)
+
+    @pytest.mark.parametrize("data, offset", [
+        (b"a\nb\xe9\n#\n", 3),
+        (b"\xef\xbb\xbfa\n\xe9\n#\n", 5),  # the mark counts in the offset
+        (b"arg(a).\narg(\xc3", 12),  # cut off inside a two-byte sequence
+    ])
+    def test_other_encodings_are_parse_errors(self, tmp_path, data, offset):
+        path = tmp_path / "latin.tgf"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not UTF-8 at byte {offset}$"):
+            load_framework(path)

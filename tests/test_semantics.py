@@ -14,6 +14,7 @@ from argsolve import (
     TooLarge,
     UnknownArgument,
     build_framework,
+    classify,
     controversial_arguments,
     defence,
     enumerate_extensions,
@@ -25,6 +26,7 @@ from argsolve import (
     is_relatively_grounded,
     is_self_defending,
     is_stable,
+    is_well_founded,
     justification,
     unattacked,
 )
@@ -412,6 +414,15 @@ def _frameworks(draw):
 
 
 @st.composite
+def _acyclic_frameworks(draw):
+    """n <= 14; every attack runs forward in a drawn order, so no cycle."""
+    names = [f"x{i}" for i in range(draw(st.integers(0, 14)))]
+    rank = dict(zip(names, draw(st.permutations(range(len(names))))))
+    cells = [(s, d) for s in names for d in names if rank[s] < rank[d]]
+    return build_framework(names, _some_of(draw, cells))
+
+
+@st.composite
 def _uncontroversial_frameworks(draw):
     """n <= 14; attacks only between layers an odd distance apart.
 
@@ -425,8 +436,55 @@ def _uncontroversial_frameworks(draw):
     return build_framework(names, _some_of(draw, cells))
 
 
+def _masks(f, kind):
+    return {e.members.mask for e in enumerate_extensions(f, kind)}
+
+
 class TestDungTheorems:
     """Dung 1995, Section 2, on the fast path; numbering as in the paper."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_frameworks())
+    def test_fundamental_lemma(self, f):
+        # Lemma 10: for S admissible and A, A' acceptable w.r.t. S, S + A is
+        # admissible and A' is acceptable w.r.t. S + A
+        for e in enumerate_extensions(f, SemanticsKind.ADMISSIBLE):
+            acceptable = defence(f, e.members)
+            for a in acceptable:
+                extended = e.members | f.set_of([a])
+                assert is_admissible(f, extended), (e, a, f.attacks)
+                assert acceptable <= defence(f, extended), (e, a, f.attacks)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_frameworks())
+    def test_stable_inside_preferred_inside_complete(self, f):
+        # Lemma 15 and Theorem 25(1)
+        stable = _masks(f, SemanticsKind.STABLE)
+        preferred = _masks(f, SemanticsKind.PREFERRED)
+        assert stable <= preferred <= _masks(f, SemanticsKind.COMPLETE), f.attacks
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_frameworks())
+    def test_grounded_is_the_least_complete_extension(self, f):
+        # Theorem 25(2)
+        g = grounded(f).members
+        complete = [e.members for e in enumerate_extensions(f, SemanticsKind.COMPLETE)]
+        assert is_complete(f, g)
+        assert all(g <= c for c in complete), f.attacks
+        meet = f.full_set()
+        for c in complete:
+            meet = meet & c
+        assert meet == g, f.attacks
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_acyclic_frameworks())
+    def test_well_founded_semantics_coincide(self, f):
+        # Theorem 30: one complete extension, grounded, preferred and stable
+        assert is_well_founded(f)
+        only = {grounded(f).members.mask}
+        for kind in (SemanticsKind.COMPLETE, SemanticsKind.PREFERRED, SemanticsKind.STABLE):
+            assert _masks(f, kind) == only, (kind, f.attacks)
+        assert classify(f).all_dung_semantics_coincide is True
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(_frameworks())
