@@ -8,10 +8,12 @@ search. Every definition looks only at an argument's attackers, so a
 family is the product of the families of the weakly connected components;
 each component is searched on the framework's own masks, in its bits.
 
-Families are unordered bit masks (``_family_masks``); queries that
-only count or test membership read those directly. ``enumerate_extensions``
-is the one place that orders a family: lexicographically by each set's
-rendering ``[n1,n2,...]``, members in declaration order.
+Families are kept as their components' factors, each a list of unordered
+bit masks (``_factors``); queries that count, intersect or test membership
+read the factors and never expand the product. ``enumerate_extensions`` is
+the one place that expands it, and the one place that orders a family:
+lexicographically by each set's rendering ``[n1,n2,...]``, members in
+declaration order.
 """
 
 from __future__ import annotations
@@ -218,40 +220,27 @@ def _weak_components(framework: Framework) -> list[int]:
     return components
 
 
-def _family_masks(
-    framework: Framework, kind: SemanticsKind, max_args: Optional[int], focus: int = -1
-) -> list[int]:
-    """Every extension of ``kind`` as a bit mask, in no particular order.
+def _factors(
+    framework: Framework, kind: SemanticsKind, max_args: Optional[int]
+) -> list[list[int]]:
+    """The family of ``kind`` as one list of masks per weakly connected component.
 
-    A negative bound, or a ``kind`` that is not a SemanticsKind, is a
-    ValueError. Grounded needs no search and is exempt from the bound; above
-    it a searched kind raises TooLarge. An argument's attackers share its
-    weakly connected component, so a searched family is the product of the
-    components' families, each searched on the framework's own masks.
-    Only the components meeting ``focus`` enter the product; the others are
-    searched only for stable, where an empty family empties the product.
+    An argument's attackers share its component, so the family is the product
+    of the factors: every union of one mask from each. Grounded needs no search
+    and is the one factor ``[[grounded mask]]``, exempt from the bound; above
+    it a searched kind raises TooLarge. A negative bound, or a ``kind`` that is
+    not a SemanticsKind, is a ValueError.
     """
     if max_args is not None and max_args < 0:
         raise ValueError(f"max_args must be nonnegative, got {max_args}")
     if not isinstance(kind, SemanticsKind):
         raise ValueError(f"unknown semantics kind: {kind!r}")
     if kind is SemanticsKind.GROUNDED:
-        return [grounded(framework).members.mask]
+        return [[grounded(framework).members.mask]]
     bound = DEFAULT_MAX_ARGS if max_args is None else max_args
     if len(framework.arguments) > bound:
         raise TooLarge(len(framework.arguments), bound)
-    product = [0]
-    for component in _weak_components(framework):
-        if component & focus or kind is SemanticsKind.STABLE:
-            family = _search_masks(framework, kind, component)
-            if not family:
-                return []
-            if component & focus:
-                # [0] is the unit of the product: the first family stands as it is
-                product = family if product == [0] else [
-                    mask | member for member in family for mask in product
-                ]
-    return product
+    return [_search_masks(framework, kind, c) for c in _weak_components(framework)]
 
 
 def enumerate_extensions(
@@ -270,7 +259,9 @@ def enumerate_extensions(
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    masks = _family_masks(framework, kind, max_args)
+    masks = [0]
+    for factor in _factors(framework, kind, max_args):
+        masks = [mask | member for member in factor for mask in masks]
     masks.sort(key=lambda m: _render(framework, m))
     if limit is not None and len(masks) > limit:
         warnings.warn(
@@ -312,7 +303,10 @@ def justification(
             f"not {getattr(semantics, 'value', semantics)!r}"
         )
     bit = 1 << resolved.index
-    masks = _family_masks(framework, semantics, max_args, focus=bit)
-    credulous = any(mask & bit for mask in masks)
-    sceptical = bool(masks) and all(mask & bit for mask in masks)
+    factors = _factors(framework, semantics, max_args)
+    # only the factor of the argument's component holds its bit; an empty
+    # factor (stable) empties the whole family
+    exists = all(factors)
+    credulous = exists and any(mask & bit for factor in factors for mask in factor)
+    sceptical = exists and any(all(mask & bit for mask in factor) for factor in factors)
     return JustificationStatus(resolved, semantics, credulous, sceptical)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from operator import and_, or_
 from typing import Optional, Union
 
 from .core import ArgSet, ArgumentId, Framework, _forward_mask, _iter_bits
-from .semantics import SemanticsKind, TooLarge, _family_masks, grounded
+from .semantics import SemanticsKind, TooLarge, _factors, grounded
 
 
 @dataclass(frozen=True)
@@ -257,21 +258,22 @@ def is_limited_controversial(framework: Framework) -> bool:
     return not odd_cycle_exists(framework)
 
 
-def _meet(framework: Framework, masks) -> int:
-    """Intersection of a family of masks; the full set for an empty family."""
-    return reduce(and_, masks, framework._full_mask)
+def _preferred_meet(factors: list[list[int]]) -> int:
+    """Intersection of the preferred product: each (nonempty) factor's, joined."""
+    return reduce(or_, (reduce(and_, factor) for factor in factors), 0)
 
 
 def is_coherent(framework: Framework, max_args: Optional[int] = None) -> bool:
     """Whether the preferred and stable families are equal: by Lemma 15, equally large."""
-    preferred = _family_masks(framework, SemanticsKind.PREFERRED, max_args)
-    return len(preferred) == len(_family_masks(framework, SemanticsKind.STABLE, max_args))
+    preferred = _factors(framework, SemanticsKind.PREFERRED, max_args)
+    stable = _factors(framework, SemanticsKind.STABLE, max_args)
+    return prod(map(len, preferred)) == prod(map(len, stable))
 
 
 def is_relatively_grounded(framework: Framework, max_args: Optional[int] = None) -> bool:
     """Whether the intersection of preferred extensions is the grounded one."""
-    preferred = _family_masks(framework, SemanticsKind.PREFERRED, max_args)
-    return _meet(framework, preferred) == grounded(framework).members.mask
+    preferred = _factors(framework, SemanticsKind.PREFERRED, max_args)
+    return _preferred_meet(preferred) == grounded(framework).members.mask
 
 
 def is_symmetric(framework: Framework) -> bool:
@@ -293,15 +295,15 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
     coincide: Optional[bool]
     counts: Optional[dict[SemanticsKind, int]]
     try:
-        families = {kind: _family_masks(framework, kind, max_args) for kind in SemanticsKind}
-        counts = {kind: len(family) for kind, family in families.items()}
-        preferred = families[SemanticsKind.PREFERRED]
+        factors = {kind: _factors(framework, kind, max_args) for kind in SemanticsKind}
+        counts = {kind: prod(map(len, f)) for kind, f in factors.items()}
+        preferred = factors[SemanticsKind.PREFERRED]
         # Dung 1995: stable lies inside preferred (Lemma 15), so equal counts are equal
         # families; a sole complete extension is grounded (Thm 25) and the sole preferred
         # one (Cor 12), so a sole stable extension is that same set
         coherent = counts[SemanticsKind.PREFERRED] == counts[SemanticsKind.STABLE]
-        relatively_grounded = _meet(framework, preferred) == grounded_mask
-        covers = reduce(or_, preferred, 0) == framework._full_mask
+        relatively_grounded = _preferred_meet(preferred) == grounded_mask
+        covers = reduce(or_, (mask for f in preferred for mask in f), 0) == framework._full_mask
         coincide = counts[SemanticsKind.COMPLETE] == counts[SemanticsKind.STABLE] == 1
     except TooLarge:
         coherent = relatively_grounded = covers = coincide = None

@@ -95,10 +95,37 @@ def _assert_justification(f, families):
             ), (kind, a, f.attacks)
 
 
+def _assert_classify(f, families):
+    """Every semantic field of the report against oracle families."""
+    everything = frozenset(a.name for a in f.arguments)
+    preferred = families[SemanticsKind.PREFERRED]
+    stable = families[SemanticsKind.STABLE]
+    (ground,) = families[SemanticsKind.GROUNDED]
+    report = classify(f)
+    assert report.extension_counts == {kind: len(family) for kind, family in families.items()}
+    assert report.is_coherent == (preferred == stable)
+    assert report.is_relatively_grounded == (frozenset.intersection(*preferred) == ground)
+    assert report.preferred_covers_all == (frozenset.union(*preferred) == everything)
+    assert report.all_dung_semantics_coincide == (
+        families[SemanticsKind.COMPLETE] == preferred == stable == {ground}
+    )
+
+
+def _assert_coherence_predicates(f, families):
+    """The standalone is_coherent and is_relatively_grounded against oracle families."""
+    preferred = families[SemanticsKind.PREFERRED]
+    (ground,) = families[SemanticsKind.GROUNDED]
+    assert is_coherent(f) == (preferred == families[SemanticsKind.STABLE])
+    assert is_relatively_grounded(f) == (frozenset.intersection(*preferred) == ground)
+
+
 def _assert_product_of_parts(parts, union):
-    """The union's families, justification and counts against its parts'."""
+    """The union's families, every consumer and counts against its parts' and the oracle."""
     _assert_same_lists(union)
-    _assert_justification(union, _oracle_families(union))
+    families = _oracle_families(union)
+    _assert_justification(union, families)
+    _assert_classify(union, families)
+    _assert_coherence_predicates(union, families)
     counts = classify(union).extension_counts
     part_counts = [classify(part).extension_counts for part in parts]
     for kind in SemanticsKind:
@@ -250,34 +277,10 @@ class TestConsumersAgainstOracle:
         rng = random.Random(55)
         for _ in range(60):
             f = random_framework(rng, max_size=8)
-            families = _oracle_families(f)
-            everything = frozenset(a.name for a in f.arguments)
-            preferred = families[SemanticsKind.PREFERRED]
-            stable = families[SemanticsKind.STABLE]
-            (ground,) = families[SemanticsKind.GROUNDED]
-            report = classify(f)
-            assert report.extension_counts == {
-                kind: len(family) for kind, family in families.items()
-            }
-            assert report.is_coherent == (preferred == stable)
-            assert report.is_relatively_grounded == (
-                frozenset.intersection(*preferred) == ground
-            )
-            assert report.preferred_covers_all == (
-                frozenset.union(*preferred) == everything
-            )
-            assert report.all_dung_semantics_coincide == (
-                families[SemanticsKind.COMPLETE] == preferred == stable == {ground}
-            )
+            _assert_classify(f, _oracle_families(f))
 
     def test_standalone_coherence_predicates(self):
         rng = random.Random(56)
         for _ in range(60):
             f = random_framework(rng, max_size=8)
-            families = _oracle_families(f)
-            preferred = families[SemanticsKind.PREFERRED]
-            (ground,) = families[SemanticsKind.GROUNDED]
-            assert is_coherent(f) == (preferred == families[SemanticsKind.STABLE])
-            assert is_relatively_grounded(f) == (
-                frozenset.intersection(*preferred) == ground
-            )
+            _assert_coherence_predicates(f, _oracle_families(f))

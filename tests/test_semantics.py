@@ -23,6 +23,7 @@ from argsolve import (
     is_coherent,
     is_complete,
     is_conflict_free,
+    is_limited_controversial,
     is_relatively_grounded,
     is_self_defending,
     is_stable,
@@ -436,6 +437,27 @@ def _uncontroversial_frameworks(draw):
     return build_framework(names, _some_of(draw, cells))
 
 
+@st.composite
+def _odd_cycle_free_frameworks(draw):
+    """n <= 14, no odd cycle, yet controversial arguments may occur.
+
+    Each argument has a rank and one of two colours. An attack runs to a
+    higher rank, or within a rank between colours, so every cycle stays in
+    one rank and alternates colours. Attacks across ranks are free, so one
+    argument may reach another by walks of both parities.
+    """
+    names = [f"x{i}" for i in range(draw(st.integers(0, 14)))]
+    rank = {name: draw(st.integers(0, 3)) for name in names}
+    colour = {name: draw(st.integers(0, 1)) for name in names}
+    cells = [
+        (s, d)
+        for s in names
+        for d in names
+        if rank[s] < rank[d] or (rank[s] == rank[d] and colour[s] != colour[d])
+    ]
+    return build_framework(names, _some_of(draw, cells))
+
+
 def _masks(f, kind):
     return {e.members.mask for e in enumerate_extensions(f, kind)}
 
@@ -507,3 +529,11 @@ class TestDungTheorems:
         assert not controversial_arguments(f)
         assert is_coherent(f), f.attacks
         assert is_relatively_grounded(f), f.attacks
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_odd_cycle_free_frameworks())
+    def test_limited_controversial_is_coherent(self, f):
+        # Theorem 33(1)
+        assert is_limited_controversial(f), f.attacks
+        assert is_coherent(f), f.attacks
+        assert classify(f).is_coherent, f.attacks

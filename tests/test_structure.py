@@ -1,6 +1,7 @@
 """Cycles, walk parity, controversy, and the classification report."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from argsolve import (
     is_relatively_grounded,
     is_symmetric,
     is_well_founded,
+    justification,
     odd_cycle_exists,
 )
 from argsolve import structure
@@ -194,6 +196,36 @@ class TestClassify:
         assert report.grounded_size == 29  # structural side still works
         with pytest.raises(TooLarge):
             is_coherent(f)
+
+    def test_twelve_mutual_pairs_are_counted_from_factors(self):
+        # 24 arguments, inside the default bound: every family is the 12th power
+        # of one pair's, and counting it must not expand the product
+        names = [f"{side}{i}" for i in range(12) for side in "ab"]
+        pairs = [(f"a{i}", f"b{i}") for i in range(12)]
+        f = build_framework(names, pairs + [(b, a) for a, b in pairs])
+        tracemalloc.start()
+        try:
+            report = classify(f)
+            _, classify_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert is_coherent(f) and is_relatively_grounded(f)
+            _, predicates_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        K = SemanticsKind
+        assert report.extension_counts == {
+            K.CONFLICT_FREE: 3**12,
+            K.NAIVE: 2**12,
+            K.SELF_DEFENDING: 4**12,
+            K.ADMISSIBLE: 3**12,
+            K.COMPLETE: 3**12,
+            K.PREFERRED: 2**12,
+            K.STABLE: 2**12,
+            K.GROUNDED: 1,
+        }
+        assert report.is_coherent and report.is_relatively_grounded
+        assert report.preferred_covers_all and not report.all_dung_semantics_coincide
+        assert classify_peak < 5_000_000 and predicates_peak < 5_000_000
 
     def test_negative_bound_is_rejected(self):
         for f in (ex.mixed_five(), ex.empty()):
@@ -374,6 +406,48 @@ class TestParityClosureLaws:
                 controversial_arguments(f).names()
             )
             assert odd_cycle_exists(shuffled) == odd_cycle_exists(f)
+
+
+_JUSTIFICATION_KINDS = (
+    SemanticsKind.COMPLETE,
+    SemanticsKind.PREFERRED,
+    SemanticsKind.STABLE,
+    SemanticsKind.GROUNDED,
+)
+
+
+class TestRenamingLaw:
+    """Renaming the arguments and permuting their declaration order commute
+    with every semantics, every justification and every classify field."""
+
+    def test_renaming_commutes_with_every_query(self):
+        rng = random.Random(77)
+        for _ in range(100):
+            f = random_framework(rng, max_size=12)
+            names = [a.name for a in f.arguments]
+            new = dict(zip(names, (f"y{k}" for k in rng.sample(range(100), len(names)))))
+            order = rng.sample(names, len(names))
+            g = build_framework(
+                [new[name] for name in order],
+                [(new[s.name], new[d.name]) for s, d in f.attacks],
+            )
+            for kind in SemanticsKind:
+                assert {
+                    frozenset(new[name] for name in e.members.names())
+                    for e in enumerate_extensions(f, kind)
+                } == {frozenset(e.members.names()) for e in enumerate_extensions(g, kind)}, (
+                    kind,
+                    f.attacks,
+                )
+            for kind in _JUSTIFICATION_KINDS:
+                for name in names:
+                    before = justification(f, name, kind)
+                    after = justification(g, new[name], kind)
+                    assert (before.credulous, before.sceptical) == (
+                        after.credulous,
+                        after.sceptical,
+                    ), (kind, name, f.attacks)
+            assert classify(f) == classify(g), f.attacks
 
 
 class TestStructuralImplications:
