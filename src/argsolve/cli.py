@@ -43,15 +43,6 @@ _EXTENSION_SEMANTICS = [
 _JUSTIFY_SEMANTICS = [k.value for k in _JUSTIFICATION_KINDS]
 
 
-def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-f", "--file", required=True, help="framework file")
-    parser.add_argument(
-        "--format",
-        choices=[f.value for f in InputFormat],
-        help="input format; inferred from the extension when omitted",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="argsolve",
@@ -59,36 +50,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extensions", help="enumerate extensions of one semantics")
-    _add_input_options(p)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("-f", "--file", required=True, help="framework file")
+        p.add_argument(
+            "--format",
+            choices=[f.value for f in InputFormat],
+            help="input format; inferred from the extension when omitted",
+        )
+        return p
+
+    p = command("extensions", "enumerate extensions of one semantics")
     p.add_argument("-s", "--semantics", required=True, choices=_EXTENSION_SEMANTICS)
     p.add_argument("--max-args", type=int, help="override the enumeration bound")
     p.add_argument("--json", action="store_true", help="structured output")
 
-    p = sub.add_parser("justify", help="decide acceptance of one argument")
-    _add_input_options(p)
+    p = command("justify", "decide acceptance of one argument")
     p.add_argument("-s", "--semantics", required=True, choices=_JUSTIFY_SEMANTICS)
     p.add_argument("-a", "--argument", required=True, help="argument name")
     p.add_argument("--mode", required=True, choices=["credulous", "sceptical"])
     p.add_argument("--max-args", type=int, help="override the enumeration bound")
 
-    p = sub.add_parser("classify", help="report structural and semantic properties")
-    _add_input_options(p)
+    p = command("classify", "report structural and semantic properties")
     p.add_argument("--max-args", type=int, help="override the enumeration bound")
     p.add_argument("--json", action="store_true", help="structured output")
 
-    p = sub.add_parser("grounded", help="compute the grounded extension")
-    _add_input_options(p)
+    p = command("grounded", "compute the grounded extension")
     p.add_argument(
         "--trace", action="store_true", help="print each iteration step first"
     )
 
-    p = sub.add_parser("dot", help="render the framework as a DOT digraph")
-    _add_input_options(p)
-
-    p = sub.add_parser("validate", help="parse the input and report success")
-    _add_input_options(p)
-
+    command("dot", "render the framework as a DOT digraph")
+    command("validate", "parse the input and report success")
     return parser
 
 
@@ -113,82 +106,61 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"argsolve: warning: {message}", file=sys.stderr)
 
 
-def _load(args: argparse.Namespace):
-    """Parse the input file; each parser warning prints as one stderr line."""
+def _run(args: argparse.Namespace) -> tuple[str, int]:
+    """Load the file, compute, and return the command's stdout and exit code.
+
+    The one place that branches on the subcommand. Each parser warning
+    prints as one stderr line. Only the searching commands read the
+    enumeration bound, and only once the file has loaded.
+    """
     forced = InputFormat(args.format) if args.format else None
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
-        return load_framework(args.file, forced)
-
-
-def _output(args: argparse.Namespace, result, emit, to_data) -> str:
-    """Render ``result`` in the one form the command prints."""
-    return json.dumps(to_data(result)) + "\n" if args.json else emit(result)
-
-
-def _run_extensions(args: argparse.Namespace) -> str:
-    framework = _load(args)
-    kind = SemanticsKind(args.semantics)
-    result = enumerate_extensions(
-        framework, kind, max_args=_effective_max_args(args.max_args)
-    )
-    return _output(args, result, emit_extensions, extensions_to_data)
-
-
-def _run_classify(args: argparse.Namespace) -> str:
-    framework = _load(args)
-    report = classify(framework, max_args=_effective_max_args(args.max_args))
-    return _output(args, report, emit_classification, classification_to_data)
-
-
-def _run_grounded(args: argparse.Namespace) -> str:
-    framework = _load(args)
-    trace = kleene_least_fixpoint(framework)
-    lines = []
-    if args.trace:
-        # one line per operator application, confirmation step included
-        lines.extend(str(step) for step in trace.steps[1:])
-        lines.append(str(trace.fixpoint))
-    lines.append(str(trace.fixpoint))
-    return "\n".join(lines) + "\n"
+        framework = load_framework(args.file, forced)
+    if args.command in ("extensions", "justify", "classify"):
+        max_args = _effective_max_args(args.max_args)
+    if args.command == "extensions":
+        kind = SemanticsKind(args.semantics)
+        found = enumerate_extensions(framework, kind, max_args=max_args)
+        if args.json:
+            return json.dumps(extensions_to_data(found)) + "\n", 0
+        return emit_extensions(found), 0
+    if args.command == "justify":
+        kind = SemanticsKind(args.semantics)
+        status = justification(framework, args.argument, kind, max_args=max_args)
+        answer = status.sceptical if args.mode == "sceptical" else status.credulous
+        return ("YES\n", 0) if answer else ("NO\n", 1)
+    if args.command == "classify":
+        report = classify(framework, max_args=max_args)
+        if args.json:
+            return json.dumps(classification_to_data(report)) + "\n", 0
+        return emit_classification(report), 0
+    if args.command == "grounded":
+        trace = kleene_least_fixpoint(framework)
+        # with --trace, one line per operator application, confirmation step included
+        steps = [*trace.steps[1:], trace.fixpoint] if args.trace else []
+        return "".join(f"{step}\n" for step in [*steps, trace.fixpoint]), 0
+    if args.command == "dot":
+        return emit_dot(framework), 0
+    return "", 0  # validate: the load above is the whole check
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on --help and on usage errors
         return int(exc.code or 0)
-
     try:
-        if args.command == "extensions":
-            print(_run_extensions(args), end="")
-        elif args.command == "justify":
-            framework = _load(args)
-            status = justification(
-                framework,
-                args.argument,
-                SemanticsKind(args.semantics),
-                max_args=_effective_max_args(args.max_args),
-            )
-            answer = status.sceptical if args.mode == "sceptical" else status.credulous
-            print("YES" if answer else "NO")
-            return 0 if answer else 1
-        elif args.command == "classify":
-            print(_run_classify(args), end="")
-        elif args.command == "grounded":
-            print(_run_grounded(args), end="")
-        elif args.command == "dot":
-            print(emit_dot(_load(args)), end="")
-        elif args.command == "validate":
-            _load(args)
+        out, code = _run(args)
+        if out:  # validate writes nothing: even an empty write fails on a full device
+            print(out, end="")
     except TooLarge as exc:
         print(f"argsolve: {exc}", file=sys.stderr)
         return 3
     except (ArgsolveError, OSError) as exc:
         print(f"argsolve: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return code
 
 
 if __name__ == "__main__":

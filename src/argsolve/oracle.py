@@ -8,7 +8,6 @@ on small frameworks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -41,6 +40,8 @@ class OracleResult:
 
 def framework_fingerprint(framework: Framework) -> str:
     """Stable hash of the argument names and attack pairs."""
+    import hashlib  # not at the top: the CLI loads this module but never hashes
+
     names = ",".join(a.name for a in framework.arguments)
     attacks = ";".join(
         sorted(f"{src.name}>{dst.name}" for src, dst in framework.attacks)

@@ -163,15 +163,19 @@ def even_cycle_exists(framework: Framework) -> bool:
     """True when some simple directed cycle of even length exists.
 
     Unlike the odd case, even closed walks do not force even simple cycles
-    (two odd cycles sharing a node give even walks), so this enumerates
-    simple cycles by depth-first search, stopping at the first even one.
-    Cycles are searched within strongly connected components only, from
-    each component's smallest index upward.
+    (two odd cycles sharing a node give even walks). Each strongly
+    connected component is first checked for a mutual attack, which is a
+    simple cycle of length 2. A component without one falls back to a
+    depth-first search over simple paths from each of its arguments,
+    smallest index first, that stops at the first even cycle; that search
+    is exponential on large sparse components.
     """
-    succ = framework._succ_masks
+    succ, pred = framework._succ_masks, framework._pred_masks
     for component in strongly_connected_components(framework):
         if len(component) < 2:
             continue  # a single node can only carry an odd (length-1) cycle
+        if any(succ[i] & pred[i] & ~(1 << i) for i in component):
+            return True  # a mutual attack
         inside = 0
         for i in component:
             inside |= 1 << i

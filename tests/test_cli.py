@@ -1,17 +1,22 @@
 """Command-line driver: subcommands, exit codes, output shapes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from argsolve.cli import main
+from argsolve.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 NIXON = str(DATA / "nixon.tgf")
 FLOATING = str(DATA / "floating.apx")
 GUARDED_PAIR = str(DATA / "guarded_pair.tgf")
 MALFORMED = str(DATA / "malformed.tgf")
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -214,6 +219,33 @@ class TestValidateAndErrors:
         assert (code, out) == (2, "")
         assert err == "argsolve: line 3: attack endpoint is not a declared argument: 'b'\n"
 
+    def test_only_searching_commands_read_the_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARGSOLVE_MAX_ARGS", "-3")
+        for argv in (["grounded"], ["dot"], ["validate"]):
+            assert run(capsys, *argv, "-f", NIXON)[0] == 0
+        for argv in (
+            ["extensions", "-s", "grounded"],
+            ["justify", "-s", "grounded", "-a", "a", "--mode", "credulous"],
+            ["classify"],
+        ):
+            code, out, err = run(capsys, *argv, "-f", NIXON)
+            assert (code, out) == (2, "") and "ARGSOLVE_MAX_ARGS" in err
+
+    def test_file_loads_before_the_bound_is_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("ARGSOLVE_MAX_ARGS", "x")
+        code, _, err = run(capsys, "classify", "-f", "does-not-exist.tgf")
+        assert code == 2 and "does-not-exist.tgf" in err and "ARGSOLVE" not in err
+
+    def test_failed_stdout_write_is_one_error_line(self, capsys, monkeypatch):
+        class Full:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["validate", "-f", NIXON]) == 0  # nothing to write
+        assert main(["dot", "-f", NIXON]) == 2
+        assert capsys.readouterr().err == "argsolve: [Errno 28] No space left on device\n"
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):
@@ -231,3 +263,80 @@ class TestDeterminism:
             a = run(capsys, "extensions", "-f", FLOATING, "-s", semantics)
             b = run(capsys, "extensions", "-f", str(tgf), "-s", semantics)
             assert a == b
+
+
+# (flags, choices, required, default, help) of every option, in declaration order
+HELP = (("-h", "--help"), None, False, argparse.SUPPRESS, "show this help message and exit")
+FILE = (("-f", "--file"), None, True, None, "framework file")
+FORMAT = (
+    ("--format",), ["tgf", "apx"], False, None,
+    "input format; inferred from the extension when omitted",
+)
+MAX_ARGS = (("--max-args",), None, False, None, "override the enumeration bound")
+JSON = (("--json",), None, False, False, "structured output")
+INTERFACE = {
+    "argsolve": [
+        HELP,
+        ((), {
+            "extensions": "enumerate extensions of one semantics",
+            "justify": "decide acceptance of one argument",
+            "classify": "report structural and semantic properties",
+            "grounded": "compute the grounded extension",
+            "dot": "render the framework as a DOT digraph",
+            "validate": "parse the input and report success",
+        }, True, None, None),
+    ],
+    "extensions": [
+        HELP, FILE, FORMAT,
+        (("-s", "--semantics"), [
+            "conflict-free", "naive", "admissible", "complete", "preferred",
+            "stable", "grounded",
+        ], True, None, None),
+        MAX_ARGS, JSON,
+    ],
+    "justify": [
+        HELP, FILE, FORMAT,
+        (("-s", "--semantics"), ["complete", "preferred", "stable", "grounded"],
+         True, None, None),
+        (("-a", "--argument"), None, True, None, "argument name"),
+        (("--mode",), ["credulous", "sceptical"], True, None, None),
+        MAX_ARGS,
+    ],
+    "classify": [HELP, FILE, FORMAT, MAX_ARGS, JSON],
+    "grounded": [
+        HELP, FILE, FORMAT,
+        (("--trace",), None, False, False, "print each iteration step first"),
+    ],
+    "dot": [HELP, FILE, FORMAT],
+    "validate": [HELP, FILE, FORMAT],
+}
+
+
+class TestInterface:
+    @staticmethod
+    def _options(parser):
+        rows = []
+        for action in parser._actions:
+            choices = action.choices
+            if isinstance(action, argparse._SubParsersAction):
+                choices = {a.dest: a.help for a in action._choices_actions}
+            rows.append(
+                (tuple(action.option_strings), choices, action.required,
+                 action.default, action.help)
+            )
+        return rows
+
+    def test_options_of_every_parser(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parsers = {"argsolve": parser, **sub.choices}
+        assert list(parsers) == list(INTERFACE)
+        for name, expected in INTERFACE.items():
+            assert self._options(parsers[name]) == expected, name
+
+    def test_start_up_imports_no_hashlib(self):
+        # the oracle's fingerprint is the only hash; a CLI run never needs it
+        code = "import sys, argsolve.cli; sys.exit('hashlib' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env)
+        assert done.returncode == 0

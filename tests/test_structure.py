@@ -1,6 +1,7 @@
 """Cycles, walk parity, controversy, and the classification report."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -70,6 +71,36 @@ class TestCycles:
         )
         assert odd_cycle_exists(f)
         assert not even_cycle_exists(f)
+
+    def test_odd_cycle_with_a_mutual_pair_in_one_component(self):
+        # a 3-cycle through a, and a mutual attack between a and d
+        f = build_framework(
+            ["a", "b", "c", "d"],
+            [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "a")],
+        )
+        assert len(structure.strongly_connected_components(f)) == 1
+        assert odd_cycle_exists(f) and even_cycle_exists(f)
+
+    def test_self_loop_is_no_mutual_attack(self):
+        f = build_framework(
+            ["a", "b", "c"], [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a")]
+        )
+        assert not even_cycle_exists(f)
+
+    def test_mutual_attack_in_a_large_sparse_component_answers_at_once(self):
+        # 80 arguments and 240 random attacks: a simple-path search from the
+        # smallest index first runs past 10 s on this graph
+        rng = random.Random(41)
+        pairs = set()
+        while len(pairs) < 240:
+            a, b = rng.randrange(80), rng.randrange(80)
+            if a != b:
+                pairs.add((a, b))
+        names = [f"x{i}" for i in range(80)]
+        f = build_framework(names, [(names[a], names[b]) for a, b in sorted(pairs)])
+        start = time.process_time()
+        assert even_cycle_exists(f)
+        assert time.process_time() - start < 1.0
 
     def test_directed_cycles_by_parity(self):
         for n in (2, 4, 6, 8):
@@ -328,6 +359,24 @@ class TestAgainstBruteForce:
             assert has_directed_cycle(f) == bool(lengths)
             assert odd_cycle_exists(f) == any(k % 2 == 1 for k in lengths)
             assert even_cycle_exists(f) == any(k % 2 == 0 for k in lengths)
+
+    def test_even_cycles_up_to_fourteen_arguments(self):
+        # a simple-path search that stops at the first even cycle, as reference
+        def has_even_simple_cycle(f):
+            succ = [[d.index for s, d in f.attacks if s.index == i] for i in range(len(f))]
+
+            def extend(path, start):
+                for nxt in succ[path[-1]]:
+                    if nxt == start and len(path) % 2 == 0:
+                        return True
+                    if nxt > start and nxt not in path and extend(path + [nxt], start):
+                        return True
+                return False
+
+            return any(extend([start], start) for start in range(len(f)))
+
+        for f in _random_frameworks(77, 100, (10, 12, 14)):
+            assert even_cycle_exists(f) == has_even_simple_cycle(f)
 
     def test_walk_parity_predicates(self):
         for f in _random_frameworks(72, 100, (6, 12)):
