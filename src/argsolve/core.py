@@ -212,7 +212,7 @@ class Framework:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgSet:
     """A subset of one framework's arguments, stored as a bit mask.
 

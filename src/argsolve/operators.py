@@ -46,7 +46,7 @@ def _defence_mask(framework: Framework, mask: int) -> int:
     pred = framework._pred_masks
     out = 0
     for i in range(len(framework.arguments)):
-        if pred[i] & ~fwd == 0:
+        if pred[i] & fwd == pred[i]:
             out |= 1 << i
     return out
 

@@ -68,7 +68,7 @@ class SemanticsKind(Enum):
     GROUNDED = "grounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extension:
     """An argument set certified under a named semantics."""
 
@@ -140,7 +140,8 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     soon as some current attacker can never be counterattacked by any
     argument still undecided, which at a leaf is exactly self-defence.
     Complete, stable and naive sets pass one more test at the leaf, and a
-    preferred set is kept unless a set kept before it contains it.
+    preferred set is kept unless a set kept before it contains it. The
+    search is one loop over a stack of pending branches, not recursion.
     """
     positions = list(_iter_bits(scope))
     n = len(positions)
@@ -161,11 +162,12 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     for k in range(n - 1, -1, -1):
         unanswerable[k] = unanswerable[k + 1] & ~succ[k]
 
-    def recurse(index: int, cur: int, fwd: int, bwd: int) -> None:
-        # including ``index`` recurses; excluding it moves on in this loop
-        while True:
-            if defends and bwd & ~fwd & unanswerable[index]:
-                return
+    # a branch (index, cur, fwd, bwd) goes on by including ``index`` and stacks the one
+    # excluding it, so of two leaves the one holding the first index they differ in comes first
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        index, cur, fwd, bwd = stack.pop()
+        while not (defends and bwd & ~fwd & unanswerable[index]):
             if index == n:
                 if plain:
                     results.append(cur)
@@ -182,21 +184,18 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
                     if scope & ~fwd == cur:
                         results.append(cur)
                 else:
-                    # preferred: cur is admissible, and including recurses before
-                    # excluding, so every admissible strict superset of cur was found
-                    # first; cur is maximal unless a set kept so far contains it
+                    # preferred: cur is admissible and, by that order, every admissible
+                    # strict superset came first; cur is maximal unless a kept set contains it
                     for kept in results:
                         if cur | kept == kept:
                             break
                     else:
                         results.append(cur)
-                return
-            bit = bits[index]
-            if not (conflict_free and (fwd | bwd | loops) & bit):
-                recurse(index + 1, cur | bit, fwd | succ[index], bwd | pred[index])
+                break
+            if not (conflict_free and (fwd | bwd | loops) & bits[index]):
+                stack.append((index + 1, cur, fwd, bwd))
+                cur, fwd, bwd = cur | bits[index], fwd | succ[index], bwd | pred[index]
             index += 1
-
-    recurse(0, 0, 0, 0)
     return results
 
 

@@ -52,12 +52,12 @@ class ClassificationReport:
 def _components(succ: list[list[int]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative; components come out sinks first.
 
-    Every edge stays inside its component or leads to an earlier one.
+    Every edge stays inside its component or leads to an earlier one. A
+    finished component's members get index ``n``, which lowers no lowlink.
     """
     n = len(succ)
     index_of = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -65,38 +65,33 @@ def _components(succ: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, 0)]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, edge_pos = work.pop()
-            if edge_pos == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for pos in range(edge_pos, len(succ[node])):
-                nxt = succ[node][pos]
+            node, successors = work[-1]
+            for nxt in successors:
                 if index_of[nxt] == -1:
-                    work.append((node, pos + 1))
-                    work.append((nxt, 0))
-                    advanced = True
+                    index_of[nxt] = lowlink[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if on_stack[nxt]:
-                    lowlink[node] = min(lowlink[node], index_of[nxt])
-            if advanced:
-                continue
-            if lowlink[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                lowlink[node] = min(lowlink[node], index_of[nxt])
+            else:
+                work.pop()
+                if lowlink[node] == index_of[node]:
+                    component = []
+                    member = -1
+                    while member != node:
+                        member = stack.pop()
+                        index_of[member] = n
+                        component.append(member)
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
     return components
 
 
@@ -165,7 +160,9 @@ def even_cycle_exists(framework: Framework) -> bool:
     Unlike the odd case, even closed walks do not force even simple cycles
     (two odd cycles sharing a node give even walks). Each strongly
     connected component is first checked for a mutual attack, which is a
-    simple cycle of length 2. A component without one falls back to a
+    simple cycle of length 2; then for being one directed cycle, which it is
+    when its k arguments carry exactly k attacks among them, and which
+    answers by the parity of k. Any other component falls back to a
     depth-first search over simple paths from each of its arguments,
     smallest index first, that stops at the first even cycle; that search
     is exponential on large sparse components.
@@ -176,24 +173,27 @@ def even_cycle_exists(framework: Framework) -> bool:
             continue  # a single node can only carry an odd (length-1) cycle
         if any(succ[i] & pred[i] & ~(1 << i) for i in component):
             return True  # a mutual attack
-        inside = 0
-        for i in component:
-            inside |= 1 << i
+        inside = sum(1 << i for i in component)
+        if sum((succ[i] & inside).bit_count() for i in component) == len(component):
+            if len(component) % 2 == 0:
+                return True  # one directed cycle, of even length
+            continue  # one directed cycle, of odd length
         for start in _iter_bits(inside):
             allowed = inside & ~((1 << start) - 1)  # indices >= start only
-            # stack of (node, depth, visited-mask); simple paths from start
-            stack = [(start, 0, 1 << start)]
+            # stack of (node, visited-mask); simple paths from start, and an
+            # attack back to start closes a cycle of visited.bit_count() attacks
+            stack = [(start, 1 << start)]
             while stack:
-                node, depth, visited = stack.pop()
+                node, visited = stack.pop()
                 for nxt in _iter_bits(succ[node] & allowed):
                     if nxt == start:
-                        if (depth + 1) % 2 == 0:
+                        if visited.bit_count() % 2 == 0:
                             return True
                         continue
                     bit = 1 << nxt
                     if visited & bit:
                         continue
-                    stack.append((nxt, depth + 1, visited | bit))
+                    stack.append((nxt, visited | bit))
     return False
 
 

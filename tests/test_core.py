@@ -1,13 +1,16 @@
 """Framework construction, forward/backward sets, sub-frameworks."""
 
+import dataclasses
 import random
 
 import pytest
 
 import af_examples as ex
 from argsolve import (
+    ArgSet,
     DuplicateArgument,
     EmptyName,
+    Extension,
     Framework,
     FrameworkMismatch,
     InvalidName,
@@ -16,6 +19,7 @@ from argsolve import (
     backward_set,
     build_framework,
     forward_set,
+    grounded,
     induced_subframework,
     self_attackers,
     unattacked,
@@ -180,6 +184,21 @@ class TestArgSetBasics:
         assert (s & t).names() == ("b",)
         assert (s - t).names() == ("a",)
         assert f.set_of(["b"]) <= t and not (s <= t)
+
+    def test_set_records_are_slotted_frozen_values(self):
+        f = ex.simple_reinstatement()
+        s = f.set_of(["a", "c"])
+        e = grounded(f)
+        for record in (s, e):
+            assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.mask = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.members = s
+        assert s == ArgSet(f, s.mask) and hash(s) == hash(ArgSet(f, s.mask))
+        assert s != f.set_of(["a"]) and s != ArgSet(ex.simple_reinstatement(), s.mask)
+        assert e == Extension(s, e.kind) and hash(e) == hash(Extension(s, e.kind))
+        assert e != Extension(f.set_of(["a"]), e.kind)
 
 
 class TestRandomisedInvariants:

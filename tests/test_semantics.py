@@ -1,7 +1,11 @@
 """Membership predicates, enumeration, and justification queries."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +105,39 @@ class TestGrounded:
             f = random_framework(rng, max_size=8)
             if not unattacked(f):
                 assert not grounded(f).members
+
+
+# Runs in a child process, so the lowered recursion limit cannot reach the suite:
+# on a 400-chain the deepest searched path includes 200 arguments, twice the limit.
+_DEEP_CHAIN = """
+import sys
+from argsolve import SemanticsKind, build_framework, enumerate_extensions
+from argsolve.cli import main
+
+names = [f"x{i}" for i in range(400)]
+chain = build_framework(names, list(zip(names, names[1:])))
+with open(sys.argv[1], "w") as out:
+    out.write("\\n".join(names + ["#"] + [f"{a} {b}" for a, b in zip(names, names[1:])]))
+sys.setrecursionlimit(100)
+even = "[" + ",".join(names[::2]) + "]"
+for kind in ("complete", "preferred", "stable"):
+    found = enumerate_extensions(chain, SemanticsKind(kind), max_args=400)
+    assert [str(e.members) for e in found] == [even], kind
+admissible = enumerate_extensions(chain, SemanticsKind.ADMISSIBLE, max_args=400)
+assert len(admissible) == 201  # the prefixes x0, x2, ..., x2k of the even arguments
+argv = ["justify", "-f", sys.argv[1], "-s", "stable", "-a", "x0", "--mode", "credulous"]
+sys.exit(main(argv + ["--max-args", "400"]))
+"""
+
+
+class TestDeepComponents:
+    def test_search_and_cli_below_a_recursion_limit_of_100(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", _DEEP_CHAIN, str(tmp_path / "chain.tgf")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "YES\n", "")
 
 
 class TestEnumerate:

@@ -103,12 +103,57 @@ class TestCycles:
         assert time.process_time() - start < 1.0
 
     def test_directed_cycles_by_parity(self):
-        for n in (2, 4, 6, 8):
-            assert even_cycle_exists(ex.directed_cycle(n))
-            assert not odd_cycle_exists(ex.directed_cycle(n))
-        for n in (1, 3, 5, 7):
-            assert odd_cycle_exists(ex.directed_cycle(n))
-            assert not even_cycle_exists(ex.directed_cycle(n))
+        for n in range(1, 41):
+            f = ex.directed_cycle(n)
+            assert even_cycle_exists(f) == (n % 2 == 0), n
+            assert odd_cycle_exists(f) == (n % 2 == 1), n
+
+    def test_long_odd_cycle_is_certified_without_path_search(self):
+        f = ex.directed_cycle(3001)
+        start = time.process_time()
+        assert not even_cycle_exists(f)
+        assert time.process_time() - start < 0.5
+
+
+class TestStronglyConnectedComponents:
+    @staticmethod
+    def _assert_components(f):
+        n = len(f.arguments)
+        succ = [[d.index for s, d in f.attacks if s.index == i] for i in range(n)]
+        reach = []
+        for i in range(n):  # brute force: everything reachable from i, i included
+            seen, todo = {i}, [i]
+            while todo:
+                for nxt in succ[todo.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            reach.append(seen)
+        components = structure.strongly_connected_components(f)
+        assert sorted(i for c in components for i in c) == list(range(n))
+        position = {i: k for k, c in enumerate(components) for i in c}
+        for c in components:
+            assert set(c) == {j for j in reach[c[0]] if c[0] in reach[j]}
+        for s, d in f.attacks:
+            assert position[d.index] <= position[s.index]
+
+    def test_mutual_reachability_classes_sinks_first(self):
+        rng = random.Random(79)
+        for _ in range(300):
+            n = rng.randint(0, 30)
+            p = rng.choice([0.03, 0.08, 0.15, 0.3])
+            names = [f"x{i}" for i in range(n)]
+            pairs = [(a, b) for a in names for b in names if rng.random() < p]
+            self._assert_components(build_framework(names, pairs))
+
+    def test_long_chain_and_cycle(self):
+        names = [f"x{i}" for i in range(20000)]
+        chain = build_framework(names, list(zip(names, names[1:])))
+        sinks_first = [[i] for i in range(19999, -1, -1)]
+        assert structure.strongly_connected_components(chain) == sinks_first
+        cycle = build_framework(names, list(zip(names, names[1:] + names[:1])))
+        (component,) = structure.strongly_connected_components(cycle)
+        assert sorted(component) == list(range(20000))
 
 
 class TestWellFounded:
