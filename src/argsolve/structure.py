@@ -78,7 +78,8 @@ def _components(succ: list[list[int]]) -> list[list[int]]:
                     stack.append(nxt)
                     work.append((nxt, iter(succ[nxt])))
                     break
-                lowlink[node] = min(lowlink[node], index_of[nxt])
+                if index_of[nxt] < lowlink[node]:
+                    lowlink[node] = index_of[nxt]
             else:
                 work.pop()
                 if lowlink[node] == index_of[node]:
@@ -100,7 +101,7 @@ def strongly_connected_components(framework: Framework) -> list[list[int]]:
     return _components([list(_iter_bits(mask)) for mask in framework._succ_masks])
 
 
-def _parity_closure(framework: Framework) -> list[int]:
+def _parity_closure(framework: Framework) -> tuple[list[int], bool]:
     """For each argument ``a``, every (argument, walk parity) it reaches.
 
     Bit ``w`` of entry ``a`` is set when a walk of even length leads from
@@ -108,13 +109,16 @@ def _parity_closure(framework: Framework) -> list[int]:
     ``n + w`` when a walk of odd length does. Node ``w + p*n`` of the
     parity-doubled graph is argument ``w`` at walk parity ``p``; its
     components come sinks first, so each one takes its members' bits and
-    the finished masks of the components its edges lead to.
+    the finished masks of the components its edges lead to. A cycle of k
+    attacks doubles into one of k or 2k nodes, so the second value, whether
+    some component has two members, says whether the framework has a cycle.
     """
     n = len(framework.arguments)
     succ = [list(_iter_bits(mask)) for mask in framework._succ_masks]
     doubled = [[w + n for w in targets] for targets in succ] + succ
     reach = [0] * (2 * n)
-    for component in _components(doubled):
+    components = _components(doubled)
+    for component in components:
         mask = 0
         for node in component:
             mask |= 1 << node
@@ -122,18 +126,16 @@ def _parity_closure(framework: Framework) -> list[int]:
                 mask |= reach[nxt]
         for node in component:
             reach[node] = mask
-    return reach[:n]
+    return reach[:n], len(components) < 2 * n
 
 
 def _has_odd_closed_walk(closure: list[int]) -> bool:
-    n = len(closure)
-    return any(reach >> (n + a) & 1 for a, reach in enumerate(closure))
+    return any(reach >> (len(closure) + a) & 1 for a, reach in enumerate(closure))
 
 
 def _controversial_mask(closure: list[int]) -> int:
     """Arguments reaching some argument by both an even and an odd walk."""
-    n = len(closure)
-    return sum(1 << a for a, reach in enumerate(closure) if reach & reach >> n)
+    return sum(1 << a for a, reach in enumerate(closure) if reach & reach >> len(closure))
 
 
 def has_directed_cycle(framework: Framework) -> bool:
@@ -151,7 +153,7 @@ def odd_cycle_exists(framework: Framework) -> bool:
     the converse is immediate. So this asks the parity closure whether
     some argument reaches itself by an odd walk.
     """
-    return _has_odd_closed_walk(_parity_closure(framework))
+    return _has_odd_closed_walk(_parity_closure(framework)[0])
 
 
 def even_cycle_exists(framework: Framework) -> bool:
@@ -254,7 +256,7 @@ def is_controversial_wrt(
 
 def controversial_arguments(framework: Framework) -> ArgSet:
     """All arguments controversial with respect to something."""
-    return ArgSet(framework, _controversial_mask(_parity_closure(framework)))
+    return ArgSet(framework, _controversial_mask(_parity_closure(framework)[0]))
 
 
 def is_limited_controversial(framework: Framework) -> bool:
@@ -288,8 +290,7 @@ def is_symmetric(framework: Framework) -> bool:
 
 def classify(framework: Framework, max_args: Optional[int] = None) -> ClassificationReport:
     """Populate the full report; semantic fields go absent when too large."""
-    acyclic = not has_directed_cycle(framework)
-    closure = _parity_closure(framework)
+    closure, cyclic = _parity_closure(framework)
     odd = _has_odd_closed_walk(closure)
     grounded_mask = grounded(framework).members.mask
 
@@ -319,10 +320,10 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
         is_symmetric=is_symmetric(framework),
         is_finitary=True,
         has_self_attack=framework._self_loop_mask != 0,
-        is_acyclic=acyclic,
-        is_well_founded=acyclic,
+        is_acyclic=not cyclic,
+        is_well_founded=not cyclic,
         has_odd_cycle=odd,
-        has_even_cycle=even_cycle_exists(framework),
+        has_even_cycle=cyclic and even_cycle_exists(framework),
         is_controversial=_controversial_mask(closure) != 0,
         is_limited_controversial=not odd,
         grounded_size=grounded_mask.bit_count(),

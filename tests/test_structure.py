@@ -172,6 +172,15 @@ class TestWellFounded:
             f = random_framework(rng, max_size=8)
             assert is_well_founded(f) == (not has_directed_cycle(f))
 
+    def test_classify_reads_cycles_off_the_parity_closure(self):
+        rng = random.Random(49)
+        for i in range(400):
+            f = (random_acyclic_framework if i % 2 else random_framework)(rng, max_size=9)
+            report = classify(f)
+            assert report.is_acyclic == report.is_well_founded == (not has_directed_cycle(f))
+            assert report.has_odd_cycle == odd_cycle_exists(f)
+            assert report.has_even_cycle == even_cycle_exists(f)
+
 
 class TestWalkParity:
     def test_odd_walk_along_chain(self):
