@@ -40,20 +40,20 @@ class MissingSeparator(ParseError):
     """TGF input has no '#' line between nodes and edges."""
 
 
-class MalformedLine(ParseError):
+class _LineError(ParseError):
+    """A parse error that names its 1-based line as ``.lineno``."""
+
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
+
+
+class MalformedLine(_LineError):
     """A TGF line could not be interpreted."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
-
-class MalformedFact(ParseError):
+class MalformedFact(_LineError):
     """An APX fact could not be interpreted."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 class InputFormat(Enum):
@@ -96,39 +96,32 @@ def _build(names: list[tuple[int, str]], pairs: list[tuple[int, str, str]]) -> F
 def parse_tgf(text: str) -> Framework:
     """Parse Trivial Graph Format into a framework.
 
-    Node labels after the first token are ignored with a warning; blank
-    lines are skipped. Declaration order follows the node-line order.
+    Labels after a node's name or an edge's two names are ignored with a
+    warning, and blank lines skipped. Nodes are declared in line order.
     """
     names: list[tuple[int, str]] = []
     pairs: list[tuple[int, str, str]] = []
-    seen_separator = False
+    records, width, label = names, 1, "node"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line == "#":
-            if seen_separator:
+            if records is pairs:
                 raise MalformedLine(lineno, "second '#' separator")
-            seen_separator = True
+            records, width, label = pairs, 2, "edge"
             continue
         tokens = line.split()
-        if not seen_separator:
-            if len(tokens) > 1:
-                warnings.warn(
-                    f"TGF line {lineno}: ignoring node label {' '.join(tokens[1:])!r}",
-                    stacklevel=2,
-                )
-            names.append((lineno, tokens[0]))
-        else:
-            if len(tokens) < 2:
+        if len(tokens) != width:
+            if len(tokens) < width:  # a node line has at least its one token
                 raise MalformedLine(lineno, f"edge line needs two tokens: {line!r}")
-            if len(tokens) > 2:
-                warnings.warn(
-                    f"TGF line {lineno}: ignoring edge label {' '.join(tokens[2:])!r}",
-                    stacklevel=2,
-                )
-            pairs.append((lineno, tokens[0], tokens[1]))
-    if not seen_separator:
+            warnings.warn(
+                f"TGF line {lineno}: ignoring {label} label {' '.join(tokens[width:])!r}",
+                stacklevel=2,
+            )
+            del tokens[width:]
+        records.append((lineno, *tokens))
+    if records is names:
         raise MissingSeparator("TGF input has no '#' separator line")
     return _build(names, pairs)
 
@@ -235,43 +228,29 @@ def emit_dot(framework: Framework) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the report's fields in declaration order; the counts map renders on its own
-_REPORT_FIELDS = tuple(
-    f.name for f in fields(ClassificationReport) if f.name != "extension_counts"
-)
-
-
 def classification_to_data(report: ClassificationReport) -> dict:
-    """Structured mirror of the classification text rendering."""
-    data: dict = {name: getattr(report, name) for name in _REPORT_FIELDS}
-    if report.extension_counts is None:
-        data["extension_counts"] = None
-    else:
-        data["extension_counts"] = {
-            kind.value: report.extension_counts[kind]
-            for kind in sorted(report.extension_counts, key=lambda k: k.value)
-        }
+    """The report's fields in declaration order; counts keyed by sorted kind name."""
+    data = {f.name: getattr(report, f.name) for f in fields(report)}
+    if report.extension_counts is not None:
+        counts = report.extension_counts.items()
+        data["extension_counts"] = dict(sorted((kind.value, n) for kind, n in counts))
     return data
 
 
 def emit_classification(report: ClassificationReport) -> str:
-    """Render the report as ``name: value`` lines; absent fields say so."""
+    """Render classification_to_data as ``name: value`` lines, in its order.
 
-    def render(value) -> str:
-        if value is None:
-            return "absent"
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
-
-    data = classification_to_data(report)
+    A dict gives one ``name[key]: value`` line per entry; ``None`` reads
+    ``absent`` and a bool ``true`` or ``false``.
+    """
     lines = []
-    for name in _REPORT_FIELDS:
-        lines.append(f"{name}: {render(data[name])}")
-    counts = data["extension_counts"]
-    if counts is None:
-        lines.append("extension_counts: absent")
-    else:
-        for kind_name, count in counts.items():
-            lines.append(f"extension_counts[{kind_name}]: {count}")
+    for name, value in classification_to_data(report).items():
+        if isinstance(value, dict):
+            lines.extend(f"{name}[{key}]: {n}" for key, n in value.items())
+            continue
+        if value is None:
+            value = "absent"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"{name}: {value}")
     return "\n".join(lines) + "\n"

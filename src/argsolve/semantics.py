@@ -110,11 +110,8 @@ def is_admissible(framework: Framework, members: ArgSet) -> bool:
 
 def is_complete(framework: Framework, members: ArgSet) -> bool:
     """Conflict-free and exactly the arguments the set defends."""
-    _require_tagged(framework, members)
     mask = members.mask
-    if _forward_mask(framework, mask) & mask != 0:
-        return False
-    return _defence_mask(framework, mask) == mask
+    return is_conflict_free(framework, members) and _defence_mask(framework, mask) == mask
 
 
 def is_stable(framework: Framework, members: ArgSet) -> bool:

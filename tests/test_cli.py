@@ -160,6 +160,93 @@ class TestClassifyAndDot:
             if isinstance(value, bool):
                 assert f"{key}: {'true' if value else 'false'}" in text
 
+    # classify output byte for byte: the structural fields, then the semantic ones
+    STRUCTURE = {
+        "floating": (
+            "is_empty: false\nis_trivial: false\nis_symmetric: false\nis_finitary: true\n"
+            "has_self_attack: false\nis_acyclic: false\nis_well_founded: false\n"
+            "has_odd_cycle: false\nhas_even_cycle: true\nis_controversial: true\n"
+            "is_limited_controversial: true\ngrounded_size: 0\n"
+        ),
+        "empty": (
+            "is_empty: true\nis_trivial: true\nis_symmetric: false\nis_finitary: true\n"
+            "has_self_attack: false\nis_acyclic: true\nis_well_founded: true\n"
+            "has_odd_cycle: false\nhas_even_cycle: false\nis_controversial: false\n"
+            "is_limited_controversial: true\ngrounded_size: 0\n"
+        ),
+    }
+    STRUCTURE_JSON = {
+        "floating": (
+            '{"is_empty": false, "is_trivial": false, "is_symmetric": false, '
+            '"is_finitary": true, "has_self_attack": false, "is_acyclic": false, '
+            '"is_well_founded": false, "has_odd_cycle": false, "has_even_cycle": true, '
+            '"is_controversial": true, "is_limited_controversial": true, "grounded_size": 0, '
+        ),
+        "empty": (
+            '{"is_empty": true, "is_trivial": true, "is_symmetric": false, '
+            '"is_finitary": true, "has_self_attack": false, "is_acyclic": true, '
+            '"is_well_founded": true, "has_odd_cycle": false, "has_even_cycle": false, '
+            '"is_controversial": false, "is_limited_controversial": true, "grounded_size": 0, '
+        ),
+    }
+    SEMANTIC = {
+        "floating": (
+            "is_coherent: true\nis_relatively_grounded: false\npreferred_covers_all: false\n"
+            "all_dung_semantics_coincide: false\nextension_counts[admissible]: 5\n"
+            "extension_counts[complete]: 3\nextension_counts[conflict-free]: 7\n"
+            "extension_counts[grounded]: 1\nextension_counts[naive]: 3\n"
+            "extension_counts[preferred]: 2\nextension_counts[self-defending]: 9\n"
+            "extension_counts[stable]: 2\n"
+        ),
+        "bounded": (
+            "is_coherent: absent\nis_relatively_grounded: absent\n"
+            "preferred_covers_all: absent\nall_dung_semantics_coincide: absent\n"
+            "extension_counts: absent\n"
+        ),
+        "empty": (
+            "is_coherent: true\nis_relatively_grounded: true\npreferred_covers_all: true\n"
+            "all_dung_semantics_coincide: true\nextension_counts[admissible]: 1\n"
+            "extension_counts[complete]: 1\nextension_counts[conflict-free]: 1\n"
+            "extension_counts[grounded]: 1\nextension_counts[naive]: 1\n"
+            "extension_counts[preferred]: 1\nextension_counts[self-defending]: 1\n"
+            "extension_counts[stable]: 1\n"
+        ),
+    }
+    SEMANTIC_JSON = {
+        "floating": (
+            '"is_coherent": true, "is_relatively_grounded": false, '
+            '"preferred_covers_all": false, "all_dung_semantics_coincide": false, '
+            '"extension_counts": {"admissible": 5, "complete": 3, "conflict-free": 7, '
+            '"grounded": 1, "naive": 3, "preferred": 2, "self-defending": 9, "stable": 2}}\n'
+        ),
+        "bounded": (
+            '"is_coherent": null, "is_relatively_grounded": null, '
+            '"preferred_covers_all": null, "all_dung_semantics_coincide": null, '
+            '"extension_counts": null}\n'
+        ),
+        "empty": (
+            '"is_coherent": true, "is_relatively_grounded": true, '
+            '"preferred_covers_all": true, "all_dung_semantics_coincide": true, '
+            '"extension_counts": {"admissible": 1, "complete": 1, "conflict-free": 1, '
+            '"grounded": 1, "naive": 1, "preferred": 1, "self-defending": 1, "stable": 1}}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "structure, semantic, bound",
+        [("floating", "floating", []), ("floating", "bounded", ["--max-args", "1"]),
+         ("empty", "empty", [])],
+    )
+    def test_classify_golden_report(self, capsys, tmp_path, structure, semantic, bound):
+        empty = tmp_path / "empty.tgf"
+        empty.write_text("#\n")
+        path = str(empty) if structure == "empty" else FLOATING
+        code, text, _ = run(capsys, "classify", "-f", path, *bound)
+        assert code == 0 and text == self.STRUCTURE[structure] + self.SEMANTIC[semantic]
+        code, raw, _ = run(capsys, "classify", "-f", path, *bound, "--json")
+        assert code == 0
+        assert raw == self.STRUCTURE_JSON[structure] + self.SEMANTIC_JSON[semantic]
+
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "dot", "-f", NIXON)
         assert code == 0

@@ -184,6 +184,10 @@ class TestArgSetBasics:
         assert (s & t).names() == ("b",)
         assert (s - t).names() == ("a",)
         assert f.set_of(["b"]) <= t and not (s <= t)
+        assert s.complement().names() == ("c", "e")
+        assert s.complement().complement() == s
+        assert s | s.complement() == f.full_set()
+        assert s & s.complement() == f.empty_set()
 
     def test_set_records_are_slotted_frozen_values(self):
         f = ex.simple_reinstatement()

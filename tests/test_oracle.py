@@ -22,6 +22,7 @@ from argsolve import (
     oracle_enumerate,
 )
 from argsolve import semantics
+from argsolve.structure import strongly_connected_components
 from random_frameworks import random_framework, random_shuffled_names_framework
 
 
@@ -255,6 +256,22 @@ class TestAgainstFastPath:
             assert len(fast) == 2**k
             found = semantics._search_masks(f, SemanticsKind.PREFERRED, f._full_mask)
             assert len(set(found)) == len(found), names
+
+    @pytest.mark.parametrize("n, p, seed", [(13, 0.1, 58), (14, 0.2, 59), (13, 0.3, 60)])
+    def test_one_strongly_connected_component_past_twelve(self, n, p, seed):
+        # a Hamiltonian cycle in shuffled order plus random chords: one SCC,
+        # so neither components nor SCC layers split the search
+        rng = random.Random(seed)
+        names = [f"x{i}" for i in range(n)]
+        cycle = rng.sample(names, n)
+        pairs = [(cycle[i - 1], cycle[i]) for i in range(n)]
+        pairs += [(s, d) for s in names for d in names if s != d and rng.random() < p]
+        f = build_framework(names, pairs)
+        assert len(strongly_connected_components(f)) == 1
+        families = _oracle_families(f)
+        _assert_same_lists(f)
+        _assert_justification(f, families)
+        _assert_classify(f, families)
 
     def test_grounded_matches_iteration(self):
         rng = random.Random(52)

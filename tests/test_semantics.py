@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import af_examples as ex
 from argsolve import (
+    FrameworkMismatch,
     IncompleteEnumerationWarning,
     SemanticsKind,
     TooLarge,
@@ -78,6 +79,8 @@ class TestPredicates:
         assert not is_complete(f, f.set_of(["a"]))
         g = ex.mutual_pair_with_odd_loop()
         assert is_complete(g, g.empty_set())
+        with pytest.raises(FrameworkMismatch):
+            is_complete(f, ex.floating_reinstatement().set_of(["a", "e"]))
 
     def test_stable(self):
         f = ex.mixed_five()
