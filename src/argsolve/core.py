@@ -86,15 +86,36 @@ def _render(framework: "Framework", mask: int) -> str:
     """Member names of ``mask`` in declaration order, as ``[n1,n2,...]``.
 
     This is both how a set prints and the key of the canonical order of
-    extension lists.
+    extension lists. Each nonzero 8-bit chunk renders once per framework: its
+    names, comma-joined, are memoised in ``_chunk_names`` as ``chunk << 8 | byte``.
     """
-    arguments = framework.arguments
-    names = []
+    memo, parts, base = framework._chunk_names, [], 0
     while mask:
-        low = mask & -mask
-        names.append(arguments[low.bit_length() - 1].name)
-        mask ^= low
-    return "[" + ",".join(names) + "]"
+        byte = mask & 255
+        if byte:
+            try:
+                parts.append(memo[base | byte])
+            except KeyError:  # the chunk's first argument has index chunk * 8 == base >> 5
+                block = framework.arguments[base >> 5 : (base >> 5) + 8]
+                text = memo[base | byte] = ",".join(block[i].name for i in _iter_bits(byte))
+                parts.append(text)
+        mask >>= 8
+        base += 256
+    return f"[{','.join(parts)}]"
+
+
+def _two_slot_constructor(cls):
+    """``cls(first, second)`` for a frozen slotted dataclass, skipping its ``__init__``."""
+    new = object.__new__
+    set_first, set_second = (getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def make(first, second):
+        record = new(cls)
+        set_first(record, first)
+        set_second(record, second)
+        return record
+
+    return make
 
 
 class Framework:
@@ -104,7 +125,8 @@ class Framework:
     ``successors(a)`` is the set of arguments attacked by ``a`` and
     ``predecessors(a)`` the set attacking it. Duplicate attack pairs
     collapse silently; duplicate argument names are an error. Instances
-    are safe to share across threads once constructed.
+    are safe to share across threads once constructed: the rendering memo
+    only gains entries, each the same text whichever thread writes it.
     """
 
     __slots__ = (
@@ -114,6 +136,7 @@ class Framework:
         "_pred_masks",
         "_full_mask",
         "_self_loop_mask",
+        "_chunk_names",
     )
 
     def __init__(self, names: Sequence[str], attack_pairs: Iterable[tuple[str, str]]):
@@ -147,6 +170,7 @@ class Framework:
         self._pred_masks = tuple(pred)
         self._full_mask = (1 << n) - 1
         self._self_loop_mask = sum(1 << i for i in range(n) if succ[i] >> i & 1)
+        self._chunk_names: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self.arguments)
@@ -272,6 +296,9 @@ class ArgSet:
 
     def __repr__(self) -> str:
         return f"ArgSet{str(self)}"
+
+
+_argset = _two_slot_constructor(ArgSet)
 
 
 def build_framework(

@@ -15,6 +15,7 @@ from .core import (
     ArgSet,
     ArgumentId,
     Framework,
+    _argset,
     _forward_mask,
     _require_tagged,
 )
@@ -99,7 +100,7 @@ def _iterate(framework: Framework, start: int) -> IterationTrace:
         current = nxt
     if not converged and start == 0:
         raise AssertionError("monotone iteration from the empty set must converge")
-    return IterationTrace(tuple(ArgSet(framework, m) for m in steps), converged)
+    return IterationTrace(tuple(_argset(framework, m) for m in steps), converged)
 
 
 def kleene_least_fixpoint(framework: Framework) -> IterationTrace:

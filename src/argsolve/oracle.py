@@ -117,5 +117,6 @@ def oracle_enumerate(framework: Framework, kind: SemanticsKind) -> OracleResult:
         raise ValueError(f"unknown semantics kind: {kind!r}")
 
     as_sets = [framework.set_of(sorted(s)) for s in chosen]
-    as_sets.sort(key=str)
+    # the rendering spelled out from names(), not the renderer under test
+    as_sets.sort(key=lambda s: "[" + ",".join(s.names()) + "]")
     return OracleResult(kind, as_sets, framework_fingerprint(framework))

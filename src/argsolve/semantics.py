@@ -28,11 +28,13 @@ from .core import (
     ArgsolveError,
     ArgumentId,
     Framework,
+    _argset,
     _backward_mask,
     _forward_mask,
     _iter_bits,
     _render,
     _require_tagged,
+    _two_slot_constructor,
 )
 from .operators import kleene_least_fixpoint, _defence_mask, _neutrality_mask
 
@@ -74,6 +76,9 @@ class Extension:
 
     members: ArgSet
     kind: SemanticsKind
+
+
+_extension = _two_slot_constructor(Extension)
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,7 @@ def enumerate_extensions(
             stacklevel=2,
         )
         masks = masks[:limit]
-    return [Extension(ArgSet(framework, m), kind) for m in masks]
+    return [_extension(_argset(framework, m), kind) for m in masks]
 
 
 _JUSTIFICATION_KINDS = (

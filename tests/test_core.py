@@ -1,6 +1,7 @@
 """Framework construction, forward/backward sets, sub-frameworks."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -14,16 +15,20 @@ from argsolve import (
     Framework,
     FrameworkMismatch,
     InvalidName,
+    SemanticsKind,
     UnknownArgument,
     UnknownEndpoint,
     backward_set,
     build_framework,
+    enumerate_extensions,
     forward_set,
     grounded,
     induced_subframework,
+    kleene_least_fixpoint,
     self_attackers,
     unattacked,
 )
+from argsolve.core import _render
 from random_frameworks import random_framework
 
 
@@ -203,6 +208,97 @@ class TestArgSetBasics:
         assert s != f.set_of(["a"]) and s != ArgSet(ex.simple_reinstatement(), s.mask)
         assert e == Extension(s, e.kind) and hash(e) == hash(Extension(s, e.kind))
         assert e != Extension(f.set_of(["a"]), e.kind)
+
+
+    def test_bulk_built_records_equal_constructed_ones(self):
+        # enumerate_extensions and the Kleene iteration build their records
+        # without the dataclass __init__; nothing may tell them apart
+        def assert_same(record, built):
+            assert type(record) is type(built)
+            assert record == built and hash(record) == hash(built)
+            assert repr(record) == repr(built)
+            assert not hasattr(record, "__dict__")
+
+        for f in (ex.floating_reinstatement(), ex.mixed_five(), ex.incoherent_six()):
+            for kind in SemanticsKind:
+                for e in enumerate_extensions(f, kind):
+                    assert_same(e.members, ArgSet(f, e.members.mask))
+                    assert_same(e, Extension(ArgSet(f, e.members.mask), kind))
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        e.kind = kind
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        e.members.mask = 0
+        names = [f"c{i}" for i in range(9)]
+        chain = build_framework(names, list(zip(names, names[1:])))
+        steps = kleene_least_fixpoint(chain).steps
+        assert len(steps) == 6
+        for step in steps:
+            assert_same(step, ArgSet(chain, step.mask))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                step.framework = chain
+
+
+def _reference_rendering(framework, mask):
+    """A set's text written out here: member names joined in declaration order."""
+    names = [a.name for a in framework.arguments]
+    return "[" + ",".join(names[i] for i in range(len(names)) if mask >> i & 1) + "]"
+
+
+def _awkward_names(rng, n):
+    """``n`` names that sort below ',' or are prefixes of one another, shuffled."""
+    pool = ["".join(t) for k in (1, 2, 3) for t in itertools.product("ab!#+'", repeat=k)]
+    pool = [name for name in pool if name not in ("#", "a", "a!", "ab")]
+    names = ["a", "a!", "ab"] + rng.sample(pool, n - 3)
+    rng.shuffle(names)
+    return names
+
+
+class TestChunkRenderer:
+    """Sets render in 8-bit chunks; the text must be the names joined in order."""
+
+    SIZES = (7, 8, 9, 16, 17, 24, 25, 26)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_str_matches_the_reference(self, n):
+        rng = random.Random(200 + n)
+        f = build_framework(_awkward_names(rng, n), [])
+        masks = [(1 << k) - 1 for k in range(n + 1)] + [3 << k for k in range(n - 1)]
+        masks += [rng.getrandbits(n) for _ in range(300)]
+        for mask in masks + masks:  # the second pass reads the memo
+            assert str(ArgSet(f, mask)) == _reference_rendering(f, mask), (n, bin(mask))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_extension_order_is_the_reference_order(self, n):
+        # mutual pairs between shuffled positions, so pairs straddle chunk edges;
+        # an odd n leaves one isolated argument in every extension
+        rng = random.Random(300 + n)
+        names = _awkward_names(rng, n)
+        order = rng.sample(names, n)
+        pairs = [(order[i], order[i + 1]) for i in range(0, n - 1, 2)]
+        f = build_framework(names, pairs + [(b, a) for a, b in pairs])
+        k = n // 2
+        counts = {SemanticsKind.STABLE: 2**k, SemanticsKind.PREFERRED: 2**k}
+        if n <= 17:  # the isolated argument may stay out of an admissible set
+            counts[SemanticsKind.COMPLETE] = 3**k
+            counts[SemanticsKind.ADMISSIBLE] = 3**k * 2 ** (n % 2)
+        for kind, count in counts.items():
+            family = enumerate_extensions(f, kind, max_args=n)
+            assert len({e.members.mask for e in family}) == len(family) == count
+            texts = [_reference_rendering(f, e.members.mask) for e in family]
+            assert [str(e.members) for e in family] == texts
+            assert texts == sorted(texts), (n, kind)
+
+    def test_sparse_and_dense_masks_on_4000_arguments(self):
+        rng = random.Random(400)
+        n = 4000
+        f = build_framework([f"x{i}" for i in range(n - 4)] + ["x!", "x", "x+", "x'"], [])
+        assert _render(f, 1 << (n - 1)) == "[x']"
+        assert len(f._chunk_names) == 1  # the memo holds only the chunks rendered
+        masks = [0, 1, 1 << (n - 1), 1 << 255 | 1 << 256, (1 << n) - 1, f._full_mask >> 1]
+        masks += [sum(1 << i for i in rng.sample(range(n), k)) for k in (2, 30)]
+        masks += [f._full_mask & ~sum(1 << i for i in rng.sample(range(n), 40)) for _ in range(2)]
+        for mask in masks + masks:
+            assert _render(f, mask) == _reference_rendering(f, mask), bin(mask).count("1")
 
 
 class TestRandomisedInvariants:

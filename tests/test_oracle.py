@@ -59,18 +59,22 @@ class TestCap:
         assert len(result.extensions) == 16
 
 
-def _assert_same_lists(f):
+def _oracle_lists(f):
+    """Every kind's oracle extensions, in the oracle's order: one sweep per kind."""
+    return {kind: oracle_enumerate(f, kind).extensions for kind in SemanticsKind}
+
+
+def _assert_same_lists(f, lists=None):
     """Same families in the same (canonical) order as the oracle's."""
-    for kind in SemanticsKind:
+    for kind, slow in (lists or _oracle_lists(f)).items():
         fast = [e.members for e in enumerate_extensions(f, kind)]
-        slow = oracle_enumerate(f, kind).extensions
         assert fast == slow, (kind, f.arguments, f.attacks)
 
 
-def _oracle_families(f):
+def _oracle_families(f, lists=None):
     return {
-        kind: {frozenset(s.names()) for s in oracle_enumerate(f, kind).extensions}
-        for kind in SemanticsKind
+        kind: {frozenset(s.names()) for s in slow}
+        for kind, slow in (lists or _oracle_lists(f)).items()
     }
 
 
@@ -122,8 +126,9 @@ def _assert_coherence_predicates(f, families):
 
 def _assert_product_of_parts(parts, union):
     """The union's families, every consumer and counts against its parts' and the oracle."""
-    _assert_same_lists(union)
-    families = _oracle_families(union)
+    lists = _oracle_lists(union)
+    _assert_same_lists(union, lists)
+    families = _oracle_families(union, lists)
     _assert_justification(union, families)
     _assert_classify(union, families)
     _assert_coherence_predicates(union, families)
@@ -268,8 +273,9 @@ class TestAgainstFastPath:
         pairs += [(s, d) for s in names for d in names if s != d and rng.random() < p]
         f = build_framework(names, pairs)
         assert len(strongly_connected_components(f)) == 1
-        families = _oracle_families(f)
-        _assert_same_lists(f)
+        lists = _oracle_lists(f)
+        families = _oracle_families(f, lists)
+        _assert_same_lists(f, lists)
         _assert_justification(f, families)
         _assert_classify(f, families)
 
