@@ -9,7 +9,7 @@ climbs to its least fixed point, which is the grounded extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .core import (
     ArgSet,
@@ -81,15 +81,19 @@ def defends(framework: Framework, members: ArgSet, arg: Union[ArgumentId, str]) 
     return framework._pred_masks[resolved.index] & ~fwd == 0
 
 
-def _iterate(framework: Framework, start: int) -> IterationTrace:
-    """Iterate defence from ``start`` until two consecutive values agree.
+def iterate_to_fixpoint(framework: Framework, start: ArgSet) -> IterationTrace:
+    """Apply the defence operator from ``start`` until two consecutive values agree.
 
-    Stops unconverged after ``len(framework) + 1`` applications. A monotone
-    operator started from the empty set climbs a strictly ascending chain
-    inside a finite powerset, so it must converge within that cap.
+    Defence is the one operator iterated: neutrality squared equals it
+    pointwise, and raw neutrality is antitone and may oscillate forever.
+    Iteration stops after ``len(framework) + 1`` applications, in which case
+    ``converged`` is false. A monotone operator started from the empty set
+    climbs a strictly ascending chain inside a finite powerset, so from there
+    it always converges within that cap.
     """
-    steps = [start]
-    current = start
+    _require_tagged(framework, start)
+    current = start.mask
+    steps = [current]
     converged = False
     for _ in range(len(framework.arguments) + 1):
         nxt = _defence_mask(framework, current)
@@ -98,7 +102,7 @@ def _iterate(framework: Framework, start: int) -> IterationTrace:
             break
         steps.append(nxt)
         current = nxt
-    if not converged and start == 0:
+    if not converged and start.mask == 0:
         raise AssertionError("monotone iteration from the empty set must converge")
     return IterationTrace(tuple(_argset(framework, m) for m in steps), converged)
 
@@ -106,29 +110,6 @@ def _iterate(framework: Framework, start: int) -> IterationTrace:
 def kleene_least_fixpoint(framework: Framework) -> IterationTrace:
     """Iterate the defence operator from the empty set to its least fixed point.
 
-    The final step is the grounded extension.
+    This is Dung's grounded trace: the final step is the grounded extension.
     """
-    return _iterate(framework, 0)
-
-
-def iterate_to_fixpoint(
-    framework: Framework,
-    start: ArgSet,
-    fn: Callable[[Framework, ArgSet], ArgSet],
-) -> IterationTrace:
-    """Repeatedly apply a monotone operator until it stops changing.
-
-    Only ``defence`` and ``neutrality_squared`` are accepted, and both are
-    iterated as defence, which they equal pointwise; raw ``neutrality`` is
-    antitone and may oscillate forever, so it is rejected rather than
-    silently looping. Iteration stops after two consecutive equal values or
-    after ``len(framework) + 1`` applications, in which case ``converged``
-    is false.
-    """
-    _require_tagged(framework, start)
-    if fn is not defence and fn is not neutrality_squared:
-        raise ValueError(
-            "iterate_to_fixpoint accepts only the monotone operators "
-            "defence and neutrality_squared"
-        )
-    return _iterate(framework, start.mask)
+    return iterate_to_fixpoint(framework, framework.empty_set())

@@ -18,7 +18,6 @@ declaration order.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -51,10 +50,6 @@ class TooLarge(ArgsolveError):
         )
         self.argument_count = argument_count
         self.bound = bound
-
-
-class IncompleteEnumerationWarning(UserWarning):
-    """Emitted when a result list was truncated by an explicit limit."""
 
 
 class SemanticsKind(Enum):
@@ -247,31 +242,20 @@ def _factors(
 def enumerate_extensions(
     framework: Framework,
     kind: SemanticsKind,
-    limit: Optional[int] = None,
+    *,
     max_args: Optional[int] = None,
 ) -> list[Extension]:
     """Enumerate every extension of the given kind, in canonical order.
 
     The canonical order sorts the rendered member lists lexicographically.
-    A ``limit`` truncates the sorted list and waives completeness, which is
-    flagged with an IncompleteEnumerationWarning; a negative ``limit`` is a
-    ValueError. The grounded kind is exempt from the enumeration bound
+    The whole family is always returned; a caller wanting the first ``n``
+    slices the list. The grounded kind is exempt from the enumeration bound
     because it needs no search.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
     masks = [0]
     for factor in _factors(framework, kind, max_args):
         masks = [mask | member for member in factor for mask in masks]
     masks.sort(key=lambda m: _render(framework, m))
-    if limit is not None and len(masks) > limit:
-        warnings.warn(
-            f"{kind.value} enumeration truncated to {limit} of {len(masks)} "
-            "extensions; the list is incomplete",
-            IncompleteEnumerationWarning,
-            stacklevel=2,
-        )
-        masks = masks[:limit]
     return [_extension(_argset(framework, m), kind) for m in masks]
 
 

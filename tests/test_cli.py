@@ -322,6 +322,9 @@ class TestValidateAndErrors:
         monkeypatch.setenv("ARGSOLVE_MAX_ARGS", "x")
         code, _, err = run(capsys, "classify", "-f", "does-not-exist.tgf")
         assert code == 2 and "does-not-exist.tgf" in err and "ARGSOLVE" not in err
+        code, out, err = run(capsys, "classify", "-f", NIXON)
+        assert (code, out) == (2, "")
+        assert err == "argsolve: ARGSOLVE_MAX_ARGS must be an integer, got 'x'\n"
 
     def test_failed_stdout_write_is_one_error_line(self, capsys, monkeypatch):
         class Full:

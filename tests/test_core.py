@@ -76,6 +76,10 @@ class TestBuildFramework:
         f = ex.nixon_diamond()
         with pytest.raises(UnknownArgument):
             f.argument("zzz")
+        # an id of another framework, whose index names another argument here
+        g = build_framework(["c"], [])
+        with pytest.raises(UnknownArgument):
+            f.resolve(g.argument("c"))
 
 
 class TestForwardBackward:

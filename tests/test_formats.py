@@ -57,6 +57,9 @@ class TestParseTgf:
         with pytest.raises(MalformedLine) as info:
             parse_tgf("a\n#\nb\n")
         assert info.value.lineno == 3
+        with pytest.raises(MalformedLine) as info:
+            parse_tgf("a\n#\n#\n")
+        assert str(info.value) == "line 3: second '#' separator"
 
     def test_blank_lines_skipped(self):
         f = parse_tgf("\na\n\n#\n\n")
@@ -112,6 +115,14 @@ class TestParseApx:
             parse_apx("arg(a,b).")
         with pytest.raises(MalformedFact):
             parse_apx("arg(a)")
+        for text, message in (
+            ("arg(a). junk arg(b).", "line 1: unrecognised text 'junk'"),
+            ("arg(a b).", "line 1: whitespace inside a name: 'arg(a b).'"),
+            ("arg(a).\natt(a).", "line 2: att fact needs two names: 'att(a).'"),
+        ):
+            with pytest.raises(MalformedFact) as info:
+                parse_apx(text)
+            assert str(info.value) == message
 
 
 class TestEmitters:

@@ -122,29 +122,21 @@ class TestKleene:
 class TestIterateToFixpoint:
     def test_chain_from_empty(self):
         f = ex.simple_reinstatement()
-        trace = iterate_to_fixpoint(f, f.empty_set(), defence)
+        trace = iterate_to_fixpoint(f, f.empty_set())
         assert trace.converged
         assert trace.fixpoint.names() == ("a", "c")
 
     def test_start_at_fixpoint_is_one_step(self):
         f = ex.mutual_pair_guarded()
         fix = kleene_least_fixpoint(f).fixpoint
-        trace = iterate_to_fixpoint(f, fix, defence)
+        trace = iterate_to_fixpoint(f, fix)
         assert trace.converged and len(trace.steps) == 1
         assert trace.fixpoint == fix
 
-    def test_squared_neutrality_matches_defence(self):
-        rng = random.Random(15)
-        for _ in range(50):
-            f = random_framework(rng, max_size=8)
-            a = iterate_to_fixpoint(f, f.empty_set(), defence)
-            b = iterate_to_fixpoint(f, f.empty_set(), neutrality_squared)
-            assert a.steps == b.steps and a.converged == b.converged
-
-    def test_raw_neutrality_rejected(self):
+    def test_operator_argument_is_gone(self):
         f = ex.nixon_diamond()
-        with pytest.raises(ValueError):
-            iterate_to_fixpoint(f, f.empty_set(), neutrality)
+        with pytest.raises(TypeError):
+            iterate_to_fixpoint(f, f.empty_set(), defence)
 
     def test_oscillating_orbit_reports_non_convergence(self):
         # defence swaps {q1} and {q3} here, so the bound is hit from {q1}
@@ -158,12 +150,26 @@ class TestIterateToFixpoint:
         start = f.set_of(["q1"])
         assert defence(f, start).names() == ("q3",)
         assert defence(f, f.set_of(["q3"])).names() == ("q1",)
-        trace = iterate_to_fixpoint(f, start, defence)
+        trace = iterate_to_fixpoint(f, start)
         assert not trace.converged
         assert len(trace.steps) == len(f) + 2  # start plus the capped applications
 
 
 class TestOperatorLaws:
+    def test_squared_neutrality_is_defence(self):
+        rng = random.Random(15)
+        for _ in range(100):
+            f = random_framework(rng, max_size=8)
+            s = _random_subset(rng, f)
+            assert neutrality_squared(f, s) == defence(f, s)
+            steps = [f.empty_set()]
+            while True:
+                nxt = neutrality_squared(f, steps[-1])
+                if nxt == steps[-1]:
+                    break
+                steps.append(nxt)
+            assert tuple(steps) == kleene_least_fixpoint(f).steps
+
     def test_defence_is_neutrality_squared(self):
         rng = random.Random(16)
         for _ in range(200):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import af_examples as ex
 from argsolve import (
     FrameworkMismatch,
-    IncompleteEnumerationWarning,
     SemanticsKind,
     TooLarge,
     UnknownArgument,
@@ -213,21 +212,14 @@ class TestEnumerate:
         assert enumerate_extensions(f, SemanticsKind.GROUNDED)
         assert len(enumerate_extensions(f, SemanticsKind.PREFERRED, max_args=25)) == 25
 
-    def test_limit_truncates_and_warns(self):
-        f = ex.floating_reinstatement()
-        with pytest.warns(IncompleteEnumerationWarning):
-            result = enumerate_extensions(f, SemanticsKind.CONFLICT_FREE, limit=3)
-        assert len(result) == 3
-        full = enumerate_extensions(f, SemanticsKind.CONFLICT_FREE)
-        assert [e.members for e in result] == [e.members for e in full[:3]]
-
-    def test_negative_limit_is_rejected(self):
+    def test_limit_and_positional_bound_are_gone(self):
         f = ex.mixed_five()
-        assert len(enumerate_extensions(f, SemanticsKind.ADMISSIBLE)) == 6
-        with pytest.raises(ValueError, match="limit"):
-            enumerate_extensions(f, SemanticsKind.ADMISSIBLE, limit=-1)
-        with pytest.warns(IncompleteEnumerationWarning):
-            assert enumerate_extensions(f, SemanticsKind.ADMISSIBLE, limit=0) == []
+        for call in (
+            lambda: enumerate_extensions(f, SemanticsKind.ADMISSIBLE, 3),
+            lambda: enumerate_extensions(f, SemanticsKind.ADMISSIBLE, limit=3),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
     def test_negative_bound_is_rejected(self):
         f = ex.mixed_five()
