@@ -61,10 +61,8 @@ class InputFormat(Enum):
     APX = "apx"
 
     @classmethod
-    def for_path(cls, path: Union[str, Path], forced: Optional["InputFormat"] = None):
-        """Infer the format from the file extension unless forced."""
-        if forced is not None:
-            return forced
+    def for_path(cls, path: Union[str, Path]) -> "InputFormat":
+        """Infer the format from the file extension."""
         suffix = Path(path).suffix.lower().lstrip(".")
         for fmt in cls:
             if fmt.value == suffix:
@@ -171,7 +169,7 @@ def load_framework(path: Union[str, Path], fmt: Optional[InputFormat] = None) ->
     The file is UTF-8 and a leading byte-order mark is dropped; any other
     bytes are a ParseError that names the file and the byte offset.
     """
-    parse = parse_tgf if InputFormat.for_path(path, fmt) is InputFormat.TGF else parse_apx
+    parse = parse_tgf if (fmt or InputFormat.for_path(path)) is InputFormat.TGF else parse_apx
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as error:

@@ -23,11 +23,12 @@ from .core import (
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """The chain of values produced by iterating an operator.
+    """The Kleene chain of the defence operator, from the empty set up.
 
-    ``steps`` holds the start value followed by each new value; the last
-    entry repeats nothing. When ``converged`` is true, applying the
-    iterated operator to the last step returns it unchanged.
+    ``steps`` holds the empty set followed by each new value, and applying
+    defence to the last step returns it unchanged. ``converged`` is always
+    true: a monotone operator started from the empty set on a finite
+    framework climbs a strictly ascending chain to its least fixed point.
     """
 
     steps: tuple[ArgSet, ...]
@@ -81,35 +82,14 @@ def defends(framework: Framework, members: ArgSet, arg: Union[ArgumentId, str]) 
     return framework._pred_masks[resolved.index] & ~fwd == 0
 
 
-def iterate_to_fixpoint(framework: Framework, start: ArgSet) -> IterationTrace:
-    """Apply the defence operator from ``start`` until two consecutive values agree.
-
-    Defence is the one operator iterated: neutrality squared equals it
-    pointwise, and raw neutrality is antitone and may oscillate forever.
-    Iteration stops after ``len(framework) + 1`` applications, in which case
-    ``converged`` is false. A monotone operator started from the empty set
-    climbs a strictly ascending chain inside a finite powerset, so from there
-    it always converges within that cap.
-    """
-    _require_tagged(framework, start)
-    current = start.mask
-    steps = [current]
-    converged = False
-    for _ in range(len(framework.arguments) + 1):
-        nxt = _defence_mask(framework, current)
-        if nxt == current:
-            converged = True
-            break
-        steps.append(nxt)
-        current = nxt
-    if not converged and start.mask == 0:
-        raise AssertionError("monotone iteration from the empty set must converge")
-    return IterationTrace(tuple(_argset(framework, m) for m in steps), converged)
-
-
 def kleene_least_fixpoint(framework: Framework) -> IterationTrace:
     """Iterate the defence operator from the empty set to its least fixed point.
 
     This is Dung's grounded trace: the final step is the grounded extension.
+    Defence is the one operator iterated: neutrality squared equals it
+    pointwise, and raw neutrality is antitone and may oscillate forever.
     """
-    return iterate_to_fixpoint(framework, framework.empty_set())
+    steps = [0]
+    while (nxt := _defence_mask(framework, steps[-1])) != steps[-1]:
+        steps.append(nxt)
+    return IterationTrace(tuple(_argset(framework, m) for m in steps), True)

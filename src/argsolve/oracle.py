@@ -35,18 +35,6 @@ class OracleResult:
 
     kind: SemanticsKind
     extensions: list[ArgSet]
-    fingerprint: str
-
-
-def framework_fingerprint(framework: Framework) -> str:
-    """Stable hash of the argument names and attack pairs."""
-    import hashlib  # not at the top: the CLI loads this module but never hashes
-
-    names = ",".join(a.name for a in framework.arguments)
-    attacks = ";".join(
-        sorted(f"{src.name}>{dst.name}" for src, dst in framework.attacks)
-    )
-    return hashlib.sha256(f"{names}|{attacks}".encode()).hexdigest()
 
 
 def oracle_enumerate(framework: Framework, kind: SemanticsKind) -> OracleResult:
@@ -119,4 +107,4 @@ def oracle_enumerate(framework: Framework, kind: SemanticsKind) -> OracleResult:
     as_sets = [framework.set_of(sorted(s)) for s in chosen]
     # the rendering spelled out from names(), not the renderer under test
     as_sets.sort(key=lambda s: "[" + ",".join(s.names()) + "]")
-    return OracleResult(kind, as_sets, framework_fingerprint(framework))
+    return OracleResult(kind, as_sets)

@@ -425,7 +425,7 @@ class TestInterface:
             assert self._options(parsers[name]) == expected, name
 
     def test_start_up_imports_no_hashlib(self):
-        # the oracle's fingerprint is the only hash; a CLI run never needs it
+        # no module of argsolve hashes, so a CLI run must not pay to import hashlib
         code = "import sys, argsolve.cli; sys.exit('hashlib' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run([sys.executable, "-S", "-c", code], env=env)

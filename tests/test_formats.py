@@ -199,7 +199,6 @@ class TestInputFormat:
     def test_inference(self):
         assert InputFormat.for_path("x.tgf") is InputFormat.TGF
         assert InputFormat.for_path("x.APX") is InputFormat.APX
-        assert InputFormat.for_path("x.tgf", InputFormat.APX) is InputFormat.APX
 
     def test_unknown_extension(self):
         with pytest.raises(ParseError):

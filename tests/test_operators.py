@@ -5,6 +5,7 @@ import random
 import pytest
 
 import af_examples as ex
+import argsolve
 from argsolve import (
     FrameworkMismatch,
     SemanticsKind,
@@ -12,7 +13,6 @@ from argsolve import (
     defence,
     defends,
     enumerate_extensions,
-    iterate_to_fixpoint,
     kleene_least_fixpoint,
     neutrality,
     neutrality_squared,
@@ -92,6 +92,8 @@ class TestKleene:
         assert [str(s) for s in trace.steps] == ["[]", "[c]", "[a,c]"]
         assert trace.converged
         assert trace.fixpoint.names() == ("a", "c")
+        # started at its fixed point, the iteration would stop at once
+        assert defence(f, trace.fixpoint) == trace.fixpoint
 
     def test_no_unattacked_gives_empty(self):
         trace = kleene_least_fixpoint(ex.nixon_diamond())
@@ -118,41 +120,18 @@ class TestKleene:
             for earlier, later in zip(steps, steps[1:]):
                 assert earlier < later
 
-
-class TestIterateToFixpoint:
     def test_chain_from_empty(self):
         f = ex.simple_reinstatement()
-        trace = iterate_to_fixpoint(f, f.empty_set())
+        trace = kleene_least_fixpoint(f)
+        assert trace.steps[0] == f.empty_set()
         assert trace.converged
         assert trace.fixpoint.names() == ("a", "c")
 
-    def test_start_at_fixpoint_is_one_step(self):
-        f = ex.mutual_pair_guarded()
-        fix = kleene_least_fixpoint(f).fixpoint
-        trace = iterate_to_fixpoint(f, fix)
-        assert trace.converged and len(trace.steps) == 1
-        assert trace.fixpoint == fix
-
-    def test_operator_argument_is_gone(self):
-        f = ex.nixon_diamond()
-        with pytest.raises(TypeError):
-            iterate_to_fixpoint(f, f.empty_set(), defence)
-
-    def test_oscillating_orbit_reports_non_convergence(self):
-        # defence swaps {q1} and {q3} here, so the bound is hit from {q1}
-        f = build_framework(
-            ["q0", "q1", "q2", "q3"],
-            [
-                ("q0", "q0"), ("q0", "q2"), ("q0", "q3"), ("q1", "q0"),
-                ("q2", "q1"), ("q2", "q2"), ("q3", "q2"),
-            ],
-        )
-        start = f.set_of(["q1"])
-        assert defence(f, start).names() == ("q3",)
-        assert defence(f, f.set_of(["q3"])).names() == ("q1",)
-        trace = iterate_to_fixpoint(f, start)
-        assert not trace.converged
-        assert len(trace.steps) == len(f) + 2  # start plus the capped applications
+    def test_iterate_to_fixpoint_is_gone(self):
+        # kleene_least_fixpoint is the one defence iteration; it starts at the empty set
+        assert not hasattr(argsolve, "iterate_to_fixpoint")
+        assert "iterate_to_fixpoint" not in argsolve.__all__
+        assert not hasattr(argsolve.operators, "iterate_to_fixpoint")
 
 
 class TestOperatorLaws:
@@ -169,6 +148,20 @@ class TestOperatorLaws:
                     break
                 steps.append(nxt)
             assert tuple(steps) == kleene_least_fixpoint(f).steps
+
+    def test_defence_can_oscillate_off_the_empty_chain(self):
+        # defence swaps {q1} and {q3}, so iterating it from {q1} never settles;
+        # only the chain from the empty set is guaranteed to climb to a fixed point
+        f = build_framework(
+            ["q0", "q1", "q2", "q3"],
+            [
+                ("q0", "q0"), ("q0", "q2"), ("q0", "q3"), ("q1", "q0"),
+                ("q2", "q1"), ("q2", "q2"), ("q3", "q2"),
+            ],
+        )
+        assert defence(f, f.set_of(["q1"])).names() == ("q3",)
+        assert defence(f, f.set_of(["q3"])).names() == ("q1",)
+        assert [str(s) for s in kleene_least_fixpoint(f).steps] == ["[]"]
 
     def test_defence_is_neutrality_squared(self):
         rng = random.Random(16)

@@ -22,9 +22,11 @@ from argsolve import (  # noqa: E402
     SemanticsKind,
     build_framework,
     classify,
+    defence,
     enumerate_extensions,
     grounded,
     justification,
+    kleene_least_fixpoint,
 )
 from argsolve.formats import classification_to_data  # noqa: E402
 
@@ -138,8 +140,10 @@ def _random_dag(n, rng):
     return [(i, j) for i in range(n) for j in rng.sample(range(i + 1, n), min(2, n - 1 - i))]
 
 
-@pytest.mark.parametrize("shape, n", [(_chain, 1000), (_random_dag, 2000)], ids=["chain", "dag"])
-def test_grounded_matches_the_worklist_reference_on_thousands(shape, n):
+@pytest.mark.parametrize(
+    "shape, n, length", [(_chain, 1000, 501), (_random_dag, 2000, None)], ids=["chain", "dag"]
+)
+def test_grounded_matches_the_worklist_reference_on_thousands(shape, n, length):
     rng = random.Random(n)
     attacks = shape(n, rng)
     order = list(range(n))
@@ -148,4 +152,15 @@ def test_grounded_matches_the_worklist_reference_on_thousands(shape, n):
     position = {v: k for k, v in enumerate(order)}
     g = ref.Graph(n, [(position[i], position[j]) for i, j in attacks])
     f = build_framework(names, [(f"x{i}", f"x{j}") for i, j in attacks])
-    assert grounded(f).members.mask == ref.grounded_mask(g)
+    expected = ref.grounded_mask(g)
+    assert grounded(f).members.mask == expected
+
+    # the Kleene trace behind grounded and `grounded --trace`: F^0 = {}, F^(k+1) = F(F^k)
+    trace = kleene_least_fixpoint(f)
+    assert not trace.steps[0]
+    for earlier, later in zip(trace.steps, trace.steps[1:]):
+        assert defence(f, earlier) == later
+    assert defence(f, trace.fixpoint) == trace.fixpoint and trace.converged
+    assert trace.fixpoint.mask == expected
+    if length is not None:  # a chain takes in one more even link per step
+        assert len(trace.steps) == length
