@@ -92,8 +92,13 @@ class TestKleene:
         assert [str(s) for s in trace.steps] == ["[]", "[c]", "[a,c]"]
         assert trace.converged
         assert trace.fixpoint.names() == ("a", "c")
-        # started at its fixed point, the iteration would stop at once
-        assert defence(f, trace.fixpoint) == trace.fixpoint
+
+    def test_defence_fixes_the_least_fixpoint(self):
+        # started at its fixed point, the iteration would stop after one step
+        f = ex.mutual_pair_guarded()
+        fix = kleene_least_fixpoint(f).fixpoint
+        assert defence(f, fix) == fix
+        assert fix.names() == ("a", "c")
 
     def test_no_unattacked_gives_empty(self):
         trace = kleene_least_fixpoint(ex.nixon_diamond())
