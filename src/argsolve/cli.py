@@ -110,14 +110,14 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
     """Load the file, compute, and return the command's stdout and exit code.
 
     The one place that branches on the subcommand. Each parser warning
-    prints as one stderr line. Only the searching commands read the
+    prints as one stderr line. Only the commands that take --max-args read the
     enumeration bound, and only once the file has loaded.
     """
     forced = InputFormat(args.format) if args.format else None
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         framework = load_framework(args.file, forced)
-    if args.command in ("extensions", "justify", "classify"):
+    if "max_args" in vars(args):
         max_args = _effective_max_args(args.max_args)
     if args.command == "extensions":
         kind = SemanticsKind(args.semantics)

@@ -195,11 +195,12 @@ class Framework:
             raise UnknownArgument(name) from None
 
     def resolve(self, arg: Union[ArgumentId, str]) -> ArgumentId:
-        """Accept an ArgumentId of this framework or a name; validate it."""
+        """Accept an ArgumentId of this framework or a name; anything else is a TypeError."""
         if isinstance(arg, str):
             return self.argument(arg)
-        known = self.arguments[arg.index] if 0 <= arg.index < len(self.arguments) else None
-        if known != arg:
+        if not isinstance(arg, ArgumentId):
+            raise TypeError(f"an argument is a name (str) or an ArgumentId, not {arg!r}")
+        if not 0 <= arg.index < len(self.arguments) or self.arguments[arg.index] != arg:
             raise UnknownArgument(arg.name)
         return arg
 
@@ -246,6 +247,10 @@ class ArgSet:
 
     framework: Framework
     mask: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.mask <= self.framework._full_mask:
+            raise ValueError(f"mask {self.mask} has bits beyond {len(self.framework)} arguments")
 
     def _require_same(self, other: "ArgSet") -> None:
         if self.framework is not other.framework:
@@ -346,13 +351,9 @@ def backward_set(framework: Framework, members: ArgSet) -> ArgSet:
 
 
 def unattacked(framework: Framework) -> ArgSet:
-    """The arguments with no attacker at all."""
-    pred = framework._pred_masks
-    mask = 0
-    for i in range(len(framework.arguments)):
-        if pred[i] == 0:
-            mask |= 1 << i
-    return ArgSet(framework, mask)
+    """The arguments with no attacker at all: n(A), what the whole set leaves unattacked."""
+    full = framework._full_mask
+    return ArgSet(framework, full & ~_forward_mask(framework, full))
 
 
 def self_attackers(framework: Framework) -> ArgSet:

@@ -171,11 +171,8 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
                 elif naive:
                     if scope & ~(cur | fwd | bwd | loops) == 0:
                         results.append(cur)
-                elif complete:
-                    for k in range(n):  # cur defends itself, and must defend no other
-                        if pred[k] & ~fwd == 0 and not cur & bits[k]:
-                            break
-                    else:
+                elif complete:  # Dung's n(n(cur)) = cur, each neutrality taken inside scope
+                    if scope & ~_forward_mask(framework, scope & ~fwd) == cur:
                         results.append(cur)
                 elif stable:
                     if scope & ~fwd == cur:

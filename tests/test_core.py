@@ -81,6 +81,16 @@ class TestBuildFramework:
         with pytest.raises(UnknownArgument):
             f.resolve(g.argument("c"))
 
+    def test_argument_of_another_type_is_a_type_error(self):
+        f = ex.nixon_diamond()
+        for value in (0, None, 1.5, b"a", ("a",)):
+            with pytest.raises(TypeError, match="name .str. or an ArgumentId"):
+                f.resolve(value)
+        with pytest.raises(TypeError):
+            f.set_of([0])
+        with pytest.raises(TypeError):
+            0 in f.full_set()
+
 
 class TestForwardBackward:
     def test_singleton_forward(self):
@@ -197,6 +207,15 @@ class TestArgSetBasics:
         assert s.complement().complement() == s
         assert s | s.complement() == f.full_set()
         assert s & s.complement() == f.empty_set()
+
+    def test_mask_outside_the_framework_is_rejected(self):
+        f = ex.nixon_diamond()
+        assert ArgSet(f, 0) == f.empty_set() and ArgSet(f, 3) == f.full_set()
+        for mask in (-1, -4, 4, 1 << 5):
+            with pytest.raises(ValueError, match="beyond 2 arguments"):
+                ArgSet(f, mask)
+        with pytest.raises(ValueError, match="beyond 0 arguments"):
+            ArgSet(ex.empty(), 1)
 
     def test_set_records_are_slotted_frozen_values(self):
         f = ex.simple_reinstatement()

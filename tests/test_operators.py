@@ -17,6 +17,7 @@ from argsolve import (
     neutrality,
     neutrality_squared,
     oracle_enumerate,
+    self_attackers,
     unattacked,
 )
 from random_frameworks import random_framework
@@ -208,11 +209,16 @@ class TestOperatorLaws:
             assert union_d <= defence(f, union)
 
     def test_unattacked_below_defence(self):
+        # F(∅) = n(A): the arguments with no attacker, self-attackers never among them
         rng = random.Random(20)
-        for _ in range(100):
-            f = random_framework(rng, max_size=8)
-            assert defence(f, f.empty_set()) == unattacked(f)
+        with_loops = 0
+        for _ in range(300):
+            f = random_framework(rng, max_size=14)
+            with_loops += bool(self_attackers(f))
+            no_attacker = [a for a in f.arguments if not f.predecessors(a)]
+            assert unattacked(f) == defence(f, f.empty_set()) == f.set_of(no_attacker)
             assert unattacked(f) <= defence(f, _random_subset(rng, f))
+        assert with_loops > 100
 
     def test_least_fixpoint_against_oracle(self):
         rng = random.Random(21)

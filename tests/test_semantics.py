@@ -35,7 +35,7 @@ from argsolve import (
     justification,
     unattacked,
 )
-from argsolve import core
+from argsolve import core, semantics
 from random_frameworks import random_framework
 
 
@@ -238,6 +238,17 @@ class TestEnumerate:
                 with pytest.raises(ValueError, match="unknown semantics kind"):
                     enumerate_extensions(f, kind.value)
 
+    def test_complete_search_on_a_scope_leaves_out_what_lies_outside(self):
+        # i is unattacked but outside the scope: n(n(S)) taken over the whole
+        # framework would always hold i, so no set of the scope would be complete
+        f = build_framework(
+            ["i", "a", "b", "c", "j"], [("a", "b"), ("b", "a"), ("b", "c"), ("i", "j")]
+        )
+        scope = f.set_of(["a", "b", "c"])
+        found = semantics._search_masks(f, SemanticsKind.COMPLETE, scope.mask)
+        assert sorted(core.ArgSet(f, m).names() for m in found) == [(), ("a", "c"), ("b",)]
+        assert _family(f, SemanticsKind.COMPLETE) == {("i",), ("i", "a", "c"), ("i", "b")}
+
     def test_empty_framework_families(self):
         f = ex.empty()
         for kind in SemanticsKind:
@@ -311,6 +322,8 @@ class TestJustification:
     def test_unknown_argument(self):
         with pytest.raises(UnknownArgument):
             justification(ex.nixon_diamond(), "zzz", SemanticsKind.PREFERRED)
+        with pytest.raises(TypeError, match="name .str. or an ArgumentId"):
+            justification(ex.nixon_diamond(), 0, SemanticsKind.GROUNDED)
 
     def test_negative_bound_is_rejected(self):
         f = ex.mixed_five()
