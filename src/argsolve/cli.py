@@ -31,6 +31,7 @@ from .semantics import (
     SemanticsKind,
     TooLarge,
     enumerate_extensions,
+    grounded,
     justification,
 )
 from .structure import classify
@@ -136,10 +137,10 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
             return json.dumps(classification_to_data(report)) + "\n", 0
         return emit_classification(report), 0
     if args.command == "grounded":
-        trace = kleene_least_fixpoint(framework)
-        # with --trace, one line per operator application, confirmation step included
-        steps = [*trace.steps[1:], trace.fixpoint] if args.trace else []
-        return "".join(f"{step}\n" for step in [*steps, trace.fixpoint]), 0
+        if not args.trace:
+            return f"{grounded(framework).members}\n", 0
+        trace = kleene_least_fixpoint(framework)  # one line per step, confirmation included
+        return "".join(f"{s}\n" for s in [*trace.steps[1:], trace.fixpoint, trace.fixpoint]), 0
     if args.command == "dot":
         return emit_dot(framework), 0
     return "", 0  # validate: the load above is the whole check

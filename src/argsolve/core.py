@@ -249,6 +249,8 @@ class ArgSet:
     mask: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mask, int):
+            raise TypeError(f"mask must be an int, not {type(self.mask).__name__}")
         if not 0 <= self.mask <= self.framework._full_mask:
             raise ValueError(f"mask {self.mask} has bits beyond {len(self.framework)} arguments")
 

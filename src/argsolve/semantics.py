@@ -35,7 +35,7 @@ from .core import (
     _require_tagged,
     _two_slot_constructor,
 )
-from .operators import kleene_least_fixpoint, _defence_mask, _neutrality_mask
+from .operators import _defence_mask, _grounded_labelling, _neutrality_mask
 
 DEFAULT_MAX_ARGS = 24
 
@@ -122,8 +122,8 @@ def is_stable(framework: Framework, members: ArgSet) -> bool:
 
 def grounded(framework: Framework) -> Extension:
     """The least fixed point of the defence operator; always unique."""
-    trace = kleene_least_fixpoint(framework)
-    return Extension(trace.fixpoint, SemanticsKind.GROUNDED)
+    in_mask, _ = _grounded_labelling(framework)
+    return Extension(_argset(framework, in_mask), SemanticsKind.GROUNDED)
 
 
 def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list[int]:

@@ -217,6 +217,12 @@ class TestArgSetBasics:
         with pytest.raises(ValueError, match="beyond 0 arguments"):
             ArgSet(ex.empty(), 1)
 
+    def test_mask_that_is_not_an_int_is_rejected(self):
+        f = ex.nixon_diamond()
+        for mask, type_name in ((1.0, "float"), ("1", "str"), (None, "NoneType")):
+            with pytest.raises(TypeError, match=f"mask must be an int, not {type_name}"):
+                ArgSet(f, mask)
+
     def test_set_records_are_slotted_frozen_values(self):
         f = ex.simple_reinstatement()
         s = f.set_of(["a", "c"])

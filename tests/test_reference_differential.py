@@ -28,7 +28,10 @@ from argsolve import (  # noqa: E402
     justification,
     kleene_least_fixpoint,
 )
+from argsolve.core import _forward_mask  # noqa: E402
 from argsolve.formats import classification_to_data  # noqa: E402
+from argsolve.operators import _grounded_labelling  # noqa: E402
+from random_frameworks import random_framework  # noqa: E402
 
 JUSTIFICATION_KINDS = (
     SemanticsKind.COMPLETE,
@@ -164,3 +167,19 @@ def test_grounded_matches_the_worklist_reference_on_thousands(shape, n, length):
     assert trace.fixpoint.mask == expected
     if length is not None:  # a chain takes in one more even link per step
         assert len(trace.steps) == length
+
+
+def test_kleene_steps_and_the_labelling_match_the_reference_step_for_step():
+    # each labelling round must be one defence step: the whole chain, not only its end
+    rng = random.Random(2009)
+    with_loops = 0
+    for _ in range(600):
+        f = random_framework(rng, max_size=14)
+        with_loops += bool(f._self_loop_mask)
+        g = ref.Graph(len(f), [(a.index, b.index) for a, b in f.attacks])
+        steps = [s.mask for s in kleene_least_fixpoint(f).steps]
+        assert steps == ref.kleene_steps(g)
+        in_mask, out_mask = _grounded_labelling(f)
+        assert in_mask == steps[-1]
+        assert out_mask == _forward_mask(f, in_mask) and in_mask & out_mask == 0
+    assert with_loops > 100

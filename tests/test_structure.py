@@ -312,6 +312,17 @@ class TestClassify:
         assert report.preferred_covers_all and not report.all_dung_semantics_coincide
         assert classify_peak < 5_000_000 and predicates_peak < 5_000_000
 
+    def test_grounded_and_classify_are_not_quadratic_on_a_long_chain(self):
+        # far above a linear pass, far below a quadratic one (about 4 s for each call)
+        names = [f"x{i}" for i in range(5000)]
+        f = build_framework(names, list(zip(names, names[1:])))
+        start = time.process_time()
+        assert len(grounded(f).members) == 2500
+        assert time.process_time() - start < 1.0
+        start = time.process_time()
+        assert classify(f).grounded_size == 2500
+        assert time.process_time() - start < 1.0
+
     def test_negative_bound_is_rejected(self):
         for f in (ex.mixed_five(), ex.empty()):
             with pytest.raises(ValueError, match="max_args"):
