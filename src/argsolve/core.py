@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class ArgsolveError(Exception):
@@ -126,7 +126,8 @@ class Framework:
     ``predecessors(a)`` the set attacking it. Duplicate attack pairs
     collapse silently; duplicate argument names are an error. Instances
     are safe to share across threads once constructed: the rendering memo
-    only gains entries, each the same text whichever thread writes it.
+    only gains entries, each the same text whichever thread writes it, and
+    the SCC order, computed on first use, is the same whichever thread stores it.
     """
 
     __slots__ = (
@@ -137,6 +138,7 @@ class Framework:
         "_full_mask",
         "_self_loop_mask",
         "_chunk_names",
+        "_sccs",
     )
 
     def __init__(self, names: Sequence[str], attack_pairs: Iterable[tuple[str, str]]):
@@ -171,6 +173,7 @@ class Framework:
         self._full_mask = (1 << n) - 1
         self._self_loop_mask = sum(1 << i for i in range(n) if succ[i] >> i & 1)
         self._chunk_names: dict[int, str] = {}
+        self._sccs: Optional[tuple[int, ...]] = None
 
     def __len__(self) -> int:
         return len(self.arguments)
@@ -340,6 +343,84 @@ def _backward_mask(framework: Framework, mask: int) -> int:
     return out
 
 
+def _components(succ: list[list[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative; components come out sinks first.
+
+    Every edge stays inside its component or leads to an earlier one. A
+    finished component's members get index ``n``, which lowers no lowlink.
+    """
+    n = len(succ)
+    index_of = [-1] * n
+    lowlink = [0] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if index_of[nxt] == -1:
+                    index_of[nxt] = lowlink[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if index_of[nxt] < lowlink[node]:
+                    lowlink[node] = index_of[nxt]
+            else:
+                work.pop()
+                if lowlink[node] == index_of[node]:
+                    component = []
+                    member = -1
+                    while member != node:
+                        member = stack.pop()
+                        index_of[member] = n
+                        component.append(member)
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return components
+
+
+def _weak_components(framework: Framework) -> list[int]:
+    """Weakly connected components as bit masks."""
+    succ = framework._succ_masks
+    pred = framework._pred_masks
+    components: list[int] = []
+    unseen = framework._full_mask
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            reached = (succ[i] | pred[i]) & ~component
+            component |= reached
+            frontier |= reached
+        unseen &= ~component
+        components.append(component)
+    return components
+
+
+def _scc_order(framework: Framework) -> tuple[int, ...]:
+    """The SCCs as bit masks in topological order, sources first; ``()`` when
+    every weak component is one SCC. Computed once per framework, in ``_sccs``."""
+    if framework._sccs is None:
+        succ = [list(_iter_bits(mask)) for mask in framework._succ_masks]
+        sccs = tuple(sum(1 << i for i in c) for c in reversed(_components(succ)))
+        multi = len(sccs) > len(_weak_components(framework))
+        framework._sccs = sccs if multi else ()
+    return framework._sccs
+
+
 def forward_set(framework: Framework, members: ArgSet) -> ArgSet:
     """All arguments attacked by some member of the set."""
     _require_tagged(framework, members)
@@ -361,19 +442,3 @@ def unattacked(framework: Framework) -> ArgSet:
 def self_attackers(framework: Framework) -> ArgSet:
     """The arguments that attack themselves."""
     return ArgSet(framework, framework._self_loop_mask)
-
-
-def induced_subframework(framework: Framework, members: ArgSet) -> Framework:
-    """Restrict the framework to the given arguments.
-
-    The result keeps the original declaration order and drops every attack
-    with an endpoint outside the restriction.
-    """
-    _require_tagged(framework, members)
-    names = [a.name for a in framework.arguments]
-    pairs = [
-        (names[i], names[j])
-        for i in _iter_bits(members.mask)
-        for j in _iter_bits(framework._succ_masks[i] & members.mask)
-    ]
-    return Framework(members.names(), pairs)

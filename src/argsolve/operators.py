@@ -88,11 +88,6 @@ def defence(framework: Framework, members: ArgSet) -> ArgSet:
     return ArgSet(framework, _defence_mask(framework, members.mask))
 
 
-def neutrality_squared(framework: Framework, members: ArgSet) -> ArgSet:
-    """The neutrality operator applied twice; pointwise equal to defence."""
-    return defence(framework, members)
-
-
 def defends(framework: Framework, members: ArgSet, arg: Union[ArgumentId, str]) -> bool:
     """Whether the set counterattacks every attacker of ``arg``."""
     _require_tagged(framework, members)

@@ -2,11 +2,13 @@
 
 Every searched family comes from one depth-first search over argument
 indices, ``_search_masks``, which takes its pruning from the family's
-definition: conflict-free, self-defending, or both. Preferred, a maximal
-admissible set, is decided at the leaf that finds it; grounded needs no
-search. Every definition looks only at an argument's attackers, so a
-family is the product of the families of the weakly connected components;
-each component is searched on the framework's own masks, in its bits.
+definition: conflict-free, self-defending, or both. Complete, preferred
+and stable are searched SCC by SCC and tested as each SCC closes, so a
+chain of SCCs prunes at every boundary; preferred, a maximal admissible
+set, needs no filter afterwards, and grounded needs no search. Every
+definition looks only at an argument's attackers, so a family is the
+product of the families of the weakly connected components; each
+component is searched on the framework's own masks, in its bits.
 
 Families are kept as their components' factors, each a list of unordered
 bit masks (``_factors``); queries that count, intersect or test membership
@@ -33,7 +35,9 @@ from .core import (
     _iter_bits,
     _render,
     _require_tagged,
+    _scc_order,
     _two_slot_constructor,
+    _weak_components,
 )
 from .operators import _defence_mask, _grounded_labelling, _neutrality_mask
 
@@ -127,7 +131,7 @@ def grounded(framework: Framework) -> Extension:
 
 
 def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list[int]:
-    """DFS over the indices in ``scope``, pruned and leaf-tested as ``kind`` says.
+    """DFS over the indices in ``scope``, pruned and tested as ``kind`` says.
 
     ``scope`` is a union of weakly connected components, which hold their
     members' attackers, so every set found is in the framework's own bits.
@@ -136,22 +140,45 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     Every kind but conflict-free and naive defends itself: a branch dies as
     soon as some current attacker can never be counterattacked by any
     argument still undecided, which at a leaf is exactly self-defence.
-    Complete, stable and naive sets pass one more test at the leaf, and a
-    preferred set is kept unless a set kept before it contains it. The
-    search is one loop over a stack of pending branches, not recursion.
+
+    Complete, preferred and stable go SCC by SCC, sources first, and test
+    each SCC once its last argument is decided; other kinds go as one SCC.
+    The decided prefix U holds its members' attackers, so the attacker test
+    says ``cur`` is admissible in the framework cut down to U, and nothing
+    undecided attacks or defends a member of U. Cut down to U, an extension
+    of these kinds is one of the same kind (directionality, Baroni and
+    Giacomin 2007), so each test is exact, and together they are the leaf
+    test: complete fails if a member left out is defended, stable if one is
+    not attacked, naive if one could join. Preferred fails a set inside one
+    kept at the same SCC, as include-first order finds admissible supersets
+    first; a set kept under another, hence incomparable, preferred prefix
+    never contains ``cur``, so the list empties when the SCC before accepts.
+    The search is one loop over a stack of pending branches, not recursion.
     """
-    positions = list(_iter_bits(scope))
-    n = len(positions)
-    bits = [1 << i for i in positions]
-    succ = [framework._succ_masks[i] for i in positions]
-    pred = [framework._pred_masks[i] for i in positions]
     loops = framework._self_loop_mask
     conflict_free = kind is not SemanticsKind.SELF_DEFENDING
     defends = kind is not SemanticsKind.CONFLICT_FREE and kind is not SemanticsKind.NAIVE
     naive = kind is SemanticsKind.NAIVE
     complete = kind is SemanticsKind.COMPLETE
     stable = kind is SemanticsKind.STABLE
-    plain = not (naive or complete or stable or kind is SemanticsKind.PREFERRED)
+    preferred = kind is SemanticsKind.PREFERRED
+    plain = not (naive or complete or stable or preferred)
+    order = _scc_order(framework) if complete or stable or preferred else ()
+    sccs = [scc for scc in order if scc & scope] if order else [scope]
+    positions: list[int] = []
+    closes = [0]  # closes[k]: the SCC whose last argument is position k - 1, else 0
+    for scc in sccs:
+        positions += _iter_bits(scc)
+        closes += [0] * (scc.bit_count() - 1) + [scc]
+    n = len(positions)
+    bits = [1 << i for i in positions]
+    succ = [framework._succ_masks[i] for i in positions]
+    pred = [framework._pred_masks[i] for i in positions]
+    # complete: each SCC's attackers; a scope that is one SCC holds its members' attackers
+    attackers = {scope: scope}
+    if complete and order:
+        attackers = {scc: _backward_mask(framework, scc) for scc in sccs}
+    kept = [[] for _ in closes] if preferred else []  # the sets kept at an SCC, by its first position
     results: list[int] = []
 
     # unanswerable[k] = every argument that no position >= k attacks
@@ -165,52 +192,40 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     while stack:
         index, cur, fwd, bwd = stack.pop()
         while not (defends and bwd & ~fwd & unanswerable[index]):
-            if index == n:
-                if plain:
+            if closes[index]:
+                if plain:  # closed only at the leaf
                     results.append(cur)
-                elif naive:
+                    break
+                if naive:  # closed only at the leaf
                     if scope & ~(cur | fwd | bwd | loops) == 0:
                         results.append(cur)
-                elif complete:  # Dung's n(n(cur)) = cur, each neutrality taken inside scope
-                    if scope & ~_forward_mask(framework, scope & ~fwd) == cur:
-                        results.append(cur)
+                    break
+                closed = closes[index]
+                if complete:
+                    if closed & ~(cur | _forward_mask(framework, attackers[closed] & ~fwd)):
+                        break
                 elif stable:
-                    if scope & ~fwd == cur:
-                        results.append(cur)
-                else:
-                    # preferred: cur is admissible and, by that order, every admissible
-                    # strict superset came first; cur is maximal unless a kept set contains it
-                    for kept in results:
-                        if cur | kept == kept:
+                    if closed & ~(cur | fwd):
+                        break
+                else:  # preferred: kept unless a set kept at this SCC contains it
+                    sets = kept[index - closed.bit_count()]
+                    for other in sets:
+                        if cur | other == other:
                             break
                     else:
-                        results.append(cur)
-                break
+                        sets.append(cur)
+                    if sets[-1] != cur:  # the scan stopped at a superset
+                        break
+                if index == n:
+                    results.append(cur)
+                    break
+                if preferred:  # the next SCC starts here, under the prefix just accepted
+                    kept[index].clear()
             if not (conflict_free and (fwd | bwd | loops) & bits[index]):
                 stack.append((index + 1, cur, fwd, bwd))
                 cur, fwd, bwd = cur | bits[index], fwd | succ[index], bwd | pred[index]
             index += 1
     return results
-
-
-def _weak_components(framework: Framework) -> list[int]:
-    """Weakly connected components as bit masks."""
-    succ = framework._succ_masks
-    pred = framework._pred_masks
-    components: list[int] = []
-    unseen = framework._full_mask
-    while unseen:
-        component = frontier = unseen & -unseen
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            i = low.bit_length() - 1
-            reached = (succ[i] | pred[i]) & ~component
-            component |= reached
-            frontier |= reached
-        unseen &= ~component
-        components.append(component)
-    return components
 
 
 def _factors(

@@ -17,7 +17,7 @@ from math import prod
 from operator import and_, or_
 from typing import Optional, Union
 
-from .core import ArgSet, ArgumentId, Framework, _forward_mask, _iter_bits
+from .core import ArgSet, ArgumentId, Framework, _components, _forward_mask, _iter_bits
 from .semantics import SemanticsKind, TooLarge, _factors, grounded
 
 
@@ -47,53 +47,6 @@ class ClassificationReport:
     preferred_covers_all: Optional[bool]
     all_dung_semantics_coincide: Optional[bool]
     extension_counts: Optional[dict[SemanticsKind, int]]
-
-
-def _components(succ: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components come out sinks first.
-
-    Every edge stays inside its component or leads to an earlier one. A
-    finished component's members get index ``n``, which lowers no lowlink.
-    """
-    n = len(succ)
-    index_of = [-1] * n
-    lowlink = [0] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if index_of[nxt] == -1:
-                    index_of[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    break
-                if index_of[nxt] < lowlink[node]:
-                    lowlink[node] = index_of[nxt]
-            else:
-                work.pop()
-                if lowlink[node] == index_of[node]:
-                    component = []
-                    member = -1
-                    while member != node:
-                        member = stack.pop()
-                        index_of[member] = n
-                        component.append(member)
-                    components.append(component)
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
 
 
 def strongly_connected_components(framework: Framework) -> list[list[int]]:

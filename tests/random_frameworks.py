@@ -80,3 +80,32 @@ def random_odd_cycle_free_framework(rng: random.Random, max_size: int = 10) -> F
         if side[i] != side[j] and rng.random() < density
     ]
     return build_framework(names, pairs)
+
+
+def random_scc_chain_framework(
+    rng: random.Random, max_size: int = 16, min_size: int = 0
+) -> Framework:
+    """Blocks of 1-4 arguments in a row, every attack between blocks forward.
+
+    A block is a cycle through its arguments plus random attacks inside it,
+    self-attacks among them, so each block of two or more is one SCC. Each
+    block after the first is attacked from the block before it and at
+    random from any earlier block. Names are declared in shuffled order.
+    """
+    target = rng.randint(min_size, max_size)
+    names: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    previous: list[str] = []
+    inner, forward = rng.random() * 0.5, rng.random() * 0.3
+    while len(names) < target:
+        block = [f"x{len(names) + i}" for i in range(min(rng.randint(1, 4), target - len(names)))]
+        if len(block) > 1:
+            pairs += [(block[i - 1], block[i]) for i in range(len(block))]
+        pairs += [(s, d) for s in block for d in block if rng.random() < inner / (2 if s == d else 1)]
+        if previous:
+            pairs.append((rng.choice(previous), rng.choice(block)))
+        pairs += [(s, d) for s in names for d in block if rng.random() < forward]
+        names += block
+        previous = block
+    rng.shuffle(names)
+    return build_framework(names, pairs)

@@ -23,11 +23,11 @@ from argsolve import (
     enumerate_extensions,
     forward_set,
     grounded,
-    induced_subframework,
     kleene_least_fixpoint,
     self_attackers,
     unattacked,
 )
+import argsolve
 from argsolve.core import _render
 from random_frameworks import random_framework
 
@@ -148,16 +148,22 @@ class TestSelfAttackers:
         assert self_attackers(ex.mixed_five()).names() == ("e",)
 
 
+def _restrict(framework, members):
+    """The framework cut down to ``members``: what replaced ``induced_subframework``."""
+    pairs = [(s.name, d.name) for s, d in framework.attacks if s in members and d in members]
+    return build_framework(members.names(), pairs)
+
+
 class TestInducedSubframework:
     def test_restriction_keeps_inner_attack(self):
         f = ex.simple_reinstatement()
-        sub = induced_subframework(f, f.set_of(["a", "b"]))
+        sub = _restrict(f, f.set_of(["a", "b"]))
         assert [a.name for a in sub.arguments] == ["a", "b"]
         assert {(s.name, d.name) for s, d in sub.attacks} == {("b", "a")}
 
     def test_restrict_to_empty(self):
         f = ex.simple_reinstatement()
-        sub = induced_subframework(f, f.empty_set())
+        sub = _restrict(f, f.empty_set())
         assert len(sub) == 0
 
     def test_attacks_with_outside_endpoint_drop(self):
@@ -165,19 +171,24 @@ class TestInducedSubframework:
             ["a", "b0", "b1", "c0", "c1"],
             [("b0", "a"), ("b1", "a"), ("c0", "b0"), ("c1", "b1")],
         )
-        sub = induced_subframework(f, f.set_of(["a", "b0", "c1"]))
+        sub = _restrict(f, f.set_of(["a", "b0", "c1"]))
         assert {(s.name, d.name) for s, d in sub.attacks} == {("b0", "a")}
 
     def test_full_restriction_is_identity(self):
         f = ex.floating_reinstatement()
-        assert induced_subframework(f, f.full_set()).structurally_equal(f)
+        assert _restrict(f, f.full_set()).structurally_equal(f)
 
     def test_idempotent(self):
         f = ex.floating_reinstatement()
         keep = f.set_of(["a", "b", "c"])
-        once = induced_subframework(f, keep)
-        twice = induced_subframework(once, once.full_set())
+        once = _restrict(f, keep)
+        twice = _restrict(once, once.full_set())
         assert once.structurally_equal(twice)
+
+    def test_induced_subframework_is_gone(self):
+        # only tests called it; build_framework over the members' names is the same restriction
+        assert not hasattr(argsolve, "induced_subframework")
+        assert not hasattr(argsolve.core, "induced_subframework")
 
 
 class TestArgSetBasics:

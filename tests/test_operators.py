@@ -15,7 +15,6 @@ from argsolve import (
     enumerate_extensions,
     kleene_least_fixpoint,
     neutrality,
-    neutrality_squared,
     oracle_enumerate,
     self_attackers,
     unattacked,
@@ -133,6 +132,11 @@ class TestKleene:
         assert trace.converged
         assert trace.fixpoint.names() == ("a", "c")
 
+    def test_neutrality_squared_is_gone(self):
+        # it returned defence; neutrality(f, neutrality(f, s)) is the same set
+        assert not hasattr(argsolve, "neutrality_squared")
+        assert not hasattr(argsolve.operators, "neutrality_squared")
+
     def test_iterate_to_fixpoint_is_gone(self):
         # kleene_least_fixpoint is the one defence iteration; it starts at the empty set
         assert not hasattr(argsolve, "iterate_to_fixpoint")
@@ -146,10 +150,10 @@ class TestOperatorLaws:
         for _ in range(100):
             f = random_framework(rng, max_size=8)
             s = _random_subset(rng, f)
-            assert neutrality_squared(f, s) == defence(f, s)
+            assert neutrality(f, neutrality(f, s)) == defence(f, s)
             steps = [f.empty_set()]
             while True:
-                nxt = neutrality_squared(f, steps[-1])
+                nxt = neutrality(f, neutrality(f, steps[-1]))
                 if nxt == steps[-1]:
                     break
                 steps.append(nxt)

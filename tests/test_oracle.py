@@ -14,16 +14,19 @@ from argsolve import (
     build_framework,
     classify,
     enumerate_extensions,
-    induced_subframework,
     is_coherent,
     is_relatively_grounded,
     justification,
     kleene_least_fixpoint,
     oracle_enumerate,
 )
-from argsolve import semantics
+from argsolve import core, semantics
 from argsolve.structure import strongly_connected_components
-from random_frameworks import random_framework, random_shuffled_names_framework
+from random_frameworks import (
+    random_framework,
+    random_scc_chain_framework,
+    random_shuffled_names_framework,
+)
 
 
 class TestGoldenValues:
@@ -216,7 +219,8 @@ class TestAgainstFastPath:
         chosen = data.draw(st.sets(st.integers(0, len(parts) - 1), min_size=1))
         names = [a.name for j in sorted(chosen) for a in parts[j].arguments]
         scope = union.set_of(names)
-        sub = induced_subframework(union, scope)
+        pairs = [(s.name, d.name) for s, d in union.attacks if s in scope and d in scope]
+        sub = build_framework(scope.names(), pairs)
         for kind in SemanticsKind:
             if kind is SemanticsKind.GROUNDED:
                 continue
@@ -278,6 +282,27 @@ class TestAgainstFastPath:
             f = random_framework(rng, max_size=8)
             slow = oracle_enumerate(f, SemanticsKind.GROUNDED).extensions
             assert slow == [kleene_least_fixpoint(f).fixpoint]
+
+
+class TestSccChains:
+    """Chains of SCCs, where complete, preferred and stable test each SCC as it closes."""
+
+    @pytest.mark.parametrize("seed, count, low, high", [(61, 200, 0, 12), (62, 4, 13, 16)])
+    def test_families_and_justification(self, seed, count, low, high):
+        rng = random.Random(seed)
+        ordered = 0
+        for _ in range(count):
+            f = random_scc_chain_framework(rng, max_size=high, min_size=low)
+            ordered += bool(core._scc_order(f))  # some weak component has two SCCs or more
+            for kind in JUSTIFIED_KINDS[:3]:
+                slow = oracle_enumerate(f, kind).extensions
+                assert [e.members for e in enumerate_extensions(f, kind)] == slow, (kind, f.attacks)
+                for a in f.arguments:
+                    status = justification(f, a, kind)
+                    credulous = any(a in s for s in slow)
+                    sceptical = bool(slow) and all(a in s for s in slow)
+                    assert (status.credulous, status.sceptical) == (credulous, sceptical), (kind, a)
+        assert ordered >= count // 2
 
 
 class TestConsumersAgainstOracle:

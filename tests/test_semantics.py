@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,9 @@ class TestEnumerate:
         scope = f.set_of(["a", "b", "c"])
         found = semantics._search_masks(f, SemanticsKind.COMPLETE, scope.mask)
         assert sorted(core.ArgSet(f, m).names() for m in found) == [(), ("a", "c"), ("b",)]
+        # the search went SCC by SCC: {a, b} before c, and i before j
+        order = [core.ArgSet(f, m).names() for m in core._scc_order(f)]
+        assert order.index(("a", "b")) < order.index(("c",)) and order.index(("i",)) < order.index(("j",))
         assert _family(f, SemanticsKind.COMPLETE) == {("i",), ("i", "a", "c"), ("i", "b")}
 
     def test_empty_framework_families(self):
@@ -285,6 +289,36 @@ class TestEnumerate:
 
         monkeypatch.setattr(core.Framework, "__init__", refuse)
         assert [answers(f) for f in (single, multi)] == expected
+
+
+class TestSccOrderSpeed:
+    """Complete, preferred and stable prune at every SCC boundary, not only at the leaf."""
+
+    @pytest.mark.parametrize("k", [10, 12])
+    def test_hub_preferred(self, k):
+        # k mutual pairs a_i <-> b_i, every a_i attacks z: 2^k preferred extensions among
+        # 3^k + 1 admissible sets. A leaf-only search took about 0.6 s at k = 10; kept
+        # lists never emptied at the SCC boundaries took about 0.9 s at k = 12
+        names = [f"{side}{i}" for i in range(k) for side in "ab"] + ["z"]
+        pairs = [(f"a{i}", f"b{i}") for i in range(k)] + [(f"b{i}", f"a{i}") for i in range(k)]
+        random.Random(21).shuffle(names)
+        hub = build_framework(names, pairs + [(f"a{i}", "z") for i in range(k)])
+        start = time.process_time()
+        (factor,) = semantics._factors(hub, SemanticsKind.PREFERRED, 2 * k + 1)
+        assert len(factor) == 2**k and time.process_time() - start < 0.1
+        start = time.process_time()
+        status = justification(hub, "a0", SemanticsKind.PREFERRED, max_args=2 * k + 1)
+        assert status.credulous and not status.sceptical
+        assert time.process_time() - start < 0.1
+
+    @pytest.mark.parametrize("kind", ["complete", "preferred", "stable"])
+    def test_long_chain(self, kind):
+        # one extension, every other argument; a leaf-only search took 2.5-3.9 s
+        names = [f"x{i}" for i in range(3000)]
+        f = build_framework(names, list(zip(names, names[1:])))
+        start = time.process_time()
+        (extension,) = enumerate_extensions(f, SemanticsKind(kind), max_args=3000)
+        assert len(extension.members) == 1500 and time.process_time() - start < 0.5
 
 
 class TestJustification:
