@@ -127,7 +127,7 @@ class Framework:
     collapse silently; duplicate argument names are an error. Instances
     are safe to share across threads once constructed: the rendering memo
     only gains entries, each the same text whichever thread writes it, and
-    the SCC order, computed on first use, is the same whichever thread stores it.
+    the coloured SCCs, memoised in ``_sccs``, are the same whichever thread stores them.
     """
 
     __slots__ = (
@@ -173,7 +173,7 @@ class Framework:
         self._full_mask = (1 << n) - 1
         self._self_loop_mask = sum(1 << i for i in range(n) if succ[i] >> i & 1)
         self._chunk_names: dict[int, str] = {}
-        self._sccs: Optional[tuple[int, ...]] = None
+        self._sccs: Optional[dict[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.arguments)
@@ -410,14 +410,26 @@ def _weak_components(framework: Framework) -> list[int]:
     return components
 
 
-def _scc_order(framework: Framework) -> tuple[int, ...]:
-    """The SCCs as bit masks in topological order, sources first; ``()`` when
-    every weak component is one SCC. Computed once per framework, in ``_sccs``."""
+def _scc_order(framework: Framework) -> dict[int, int]:
+    """Every SCC, sinks first, as a dict ``members: odd`` of masks; made once, in ``_sccs``.
+
+    ``odd``: the members that a walk inside the SCC from its lowest member
+    reaches at odd length, by one parity breadth-first pass. All of them, when
+    the SCC holds an odd closed walk; else ``odd`` and ``members & ~odd``
+    2-colour it, every inner attack crossing colours.
+    """
     if framework._sccs is None:
-        succ = [list(_iter_bits(mask)) for mask in framework._succ_masks]
-        sccs = tuple(sum(1 << i for i in c) for c in reversed(_components(succ)))
-        multi = len(sccs) > len(_weak_components(framework))
-        framework._sccs = sccs if multi else ()
+        sccs = {}
+        for component in _components([list(_iter_bits(mask)) for mask in framework._succ_masks]):
+            members = sum(1 << i for i in component)
+            frontier = members & -members
+            reached, parity = [frontier, 0], 0  # members reached by an even, an odd walk
+            while frontier:
+                parity ^= 1
+                frontier = _forward_mask(framework, frontier) & members & ~reached[parity]
+                reached[parity] |= frontier
+            sccs[members] = reached[1]
+        framework._sccs = sccs
     return framework._sccs
 
 

@@ -163,8 +163,9 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     stable = kind is SemanticsKind.STABLE
     preferred = kind is SemanticsKind.PREFERRED
     plain = not (naive or complete or stable or preferred)
-    order = _scc_order(framework) if complete or stable or preferred else ()
-    sccs = [scc for scc in order if scc & scope] if order else [scope]
+    sccs = [scope]
+    if (complete or stable or preferred) and scope not in _scc_order(framework):
+        sccs = [scc for scc in reversed(_scc_order(framework)) if scc & scope]
     positions: list[int] = []
     closes = [0]  # closes[k]: the SCC whose last argument is position k - 1, else 0
     for scc in sccs:
@@ -176,7 +177,7 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     pred = [framework._pred_masks[i] for i in positions]
     # complete: each SCC's attackers; a scope that is one SCC holds its members' attackers
     attackers = {scope: scope}
-    if complete and order:
+    if complete and len(sccs) > 1:
         attackers = {scc: _backward_mask(framework, scc) for scc in sccs}
     kept = [[] for _ in closes] if preferred else []  # the sets kept at an SCC, by its first position
     results: list[int] = []

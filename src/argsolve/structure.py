@@ -1,12 +1,12 @@
 """Structural and meta-semantic classification of a framework.
 
-Cycle and controversy queries work on walk parity: a reachability closure
-over (argument, parity) pairs answers whole-framework queries. "Path"
-here means walk, repeats allowed: a self-loop traversed twice is an even
-walk, which is exactly how controversy behaves. The well-foundedness and
-limited-controversy predicates implement the finite specialisations
-(acyclicity, absence of odd cycles); they are only meaningful for the
-finite frameworks this library represents.
+Cycle and controversy queries read the SCCs, each 2-coloured along its
+attacks or found to hold an odd closed walk, computed once per framework
+(``core._scc_order``). "Path" here means walk, repeats allowed: a self-loop
+traversed twice is an even walk, which is exactly how controversy behaves.
+The well-foundedness and limited-controversy predicates implement the
+finite specialisations (acyclicity, absence of odd cycles); they are only
+meaningful for the finite frameworks this library represents.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import prod
 from operator import and_, or_
 from typing import Optional, Union
 
-from .core import ArgSet, ArgumentId, Framework, _components, _forward_mask, _iter_bits
+from .core import ArgSet, ArgumentId, Framework, _forward_mask, _iter_bits, _scc_order
 from .semantics import SemanticsKind, TooLarge, _factors, grounded
 
 
@@ -50,90 +50,77 @@ class ClassificationReport:
 
 
 def strongly_connected_components(framework: Framework) -> list[list[int]]:
-    """Components as index lists, sinks first."""
-    return _components([list(_iter_bits(mask)) for mask in framework._succ_masks])
+    """Components as index lists, sinks first; members in ascending order."""
+    return [list(_iter_bits(members)) for members in _scc_order(framework)]
 
 
-def _parity_closure(framework: Framework) -> tuple[list[int], bool]:
-    """For each argument ``a``, every (argument, walk parity) it reaches.
+def _controversial_mask(framework: Framework) -> int:
+    """Arguments reaching some argument by both an even and an odd walk.
 
-    Bit ``w`` of entry ``a`` is set when a walk of even length leads from
-    ``a`` to ``w`` (the empty walk counts, so bit ``a`` always is); bit
-    ``n + w`` when a walk of odd length does. Node ``w + p*n`` of the
-    parity-doubled graph is argument ``w`` at walk parity ``p``; its
-    components come sinks first, so each one takes its members' bits and
-    the finished masks of the components its edges lead to. A cycle of k
-    attacks doubles into one of k or 2k nodes, so the second value, whether
-    some component has two members, says whether the framework has a cycle.
+    ``reach[a]``: what ``a`` reaches by an even walk (the empty one counts)
+    and by an odd one, filled SCC by SCC from the sinks up. A 2-coloured
+    SCC's lowest member reaches its members by colour and, through each
+    attack u -> w leaving it, w's pair, swapped unless u is odd-coloured;
+    other members take that pair, swapped at odd ones. An odd SCC reaches
+    all it reaches at both parities. Its members are controversial when its
+    two masks meet.
     """
-    n = len(framework.arguments)
-    succ = [list(_iter_bits(mask)) for mask in framework._succ_masks]
-    doubled = [[w + n for w in targets] for targets in succ] + succ
-    reach = [0] * (2 * n)
-    components = _components(doubled)
-    for component in components:
-        mask = 0
-        for node in component:
-            mask |= 1 << node
-            for nxt in doubled[node]:
-                mask |= reach[nxt]
-        for node in component:
-            reach[node] = mask
-    return reach[:n], len(components) < 2 * n
-
-
-def _has_odd_closed_walk(closure: list[int]) -> bool:
-    return any(reach >> (len(closure) + a) & 1 for a, reach in enumerate(closure))
-
-
-def _controversial_mask(closure: list[int]) -> int:
-    """Arguments reaching some argument by both an even and an odd walk."""
-    return sum(1 << a for a, reach in enumerate(closure) if reach & reach >> len(closure))
+    reach: list[tuple[int, int]] = [(0, 0)] * len(framework.arguments)
+    out = 0
+    for members, odd in _scc_order(framework).items():
+        sides = (members & ~odd, odd)
+        pair = list(sides)
+        for colour, side in enumerate(sides):
+            for w in _iter_bits(_forward_mask(framework, side) & ~members):
+                pair[colour ^ 1] |= reach[w][0]
+                pair[colour] |= reach[w][1]
+        if odd == members:
+            pair[0] = pair[1] = pair[0] | pair[1]
+        if pair[0] & pair[1]:
+            out |= members
+        for colour, side in enumerate(sides):
+            for v in _iter_bits(side):
+                reach[v] = pair[colour], pair[colour ^ 1]
+    return out
 
 
 def has_directed_cycle(framework: Framework) -> bool:
-    """True when some directed cycle (including a self-loop) exists."""
-    if framework._self_loop_mask:
-        return True
-    return any(len(c) > 1 for c in strongly_connected_components(framework))
+    """True when some directed cycle (including a self-loop) exists: when some
+    SCC's lowest member reaches a member by an odd walk, which closes one."""
+    return any(_scc_order(framework).values())
 
 
 def odd_cycle_exists(framework: Framework) -> bool:
     """True when some simple directed cycle of odd length exists.
 
-    A closed walk of odd length decomposes into simple cycles whose
-    lengths sum to it, so an odd closed walk forces an odd simple cycle;
-    the converse is immediate. So this asks the parity closure whether
-    some argument reaches itself by an odd walk.
+    An odd closed walk splits into simple cycles whose lengths sum to its
+    own, one of them odd; so this asks whether some SCC fails its 2-colouring.
     """
-    return _has_odd_closed_walk(_parity_closure(framework)[0])
+    return any(odd == members for members, odd in _scc_order(framework).items())
 
 
 def even_cycle_exists(framework: Framework) -> bool:
     """True when some simple directed cycle of even length exists.
 
     Unlike the odd case, even closed walks do not force even simple cycles
-    (two odd cycles sharing a node give even walks). Each strongly
-    connected component is first checked for a mutual attack, which is a
-    simple cycle of length 2; then for being one directed cycle, which it is
-    when its k arguments carry exactly k attacks among them, and which
-    answers by the parity of k. Any other component falls back to a
-    depth-first search over simple paths from each of its arguments,
-    smallest index first, that stops at the first even cycle; that search
-    is exponential on large sparse components.
+    (two odd cycles sharing a node give even walks). A 2-coloured SCC of two
+    or more arguments has cycles, all even. An SCC with an odd closed walk is
+    checked for a mutual attack (a 2-cycle) and for being one odd cycle (k
+    arguments, k attacks among them); any other falls back to a depth-first
+    search over simple paths from each argument, smallest index first, that
+    stops at the first even cycle: exponential on large sparse SCCs.
     """
     succ, pred = framework._succ_masks, framework._pred_masks
-    for component in strongly_connected_components(framework):
-        if len(component) < 2:
-            continue  # a single node can only carry an odd (length-1) cycle
+    sccs = _scc_order(framework)  # ``odd`` is nonzero exactly when the SCC has a cycle
+    if any(odd and odd != inside for inside, odd in sccs.items()):
+        return True  # a 2-coloured SCC with a cycle
+    for inside in filter(None, sccs.values()):  # the rest with a cycle: odd == inside
+        component = list(_iter_bits(inside))
         if any(succ[i] & pred[i] & ~(1 << i) for i in component):
             return True  # a mutual attack
-        inside = sum(1 << i for i in component)
         if sum((succ[i] & inside).bit_count() for i in component) == len(component):
-            if len(component) % 2 == 0:
-                return True  # one directed cycle, of even length
             continue  # one directed cycle, of odd length
-        for start in _iter_bits(inside):
+        for start in component:
             allowed = inside & ~((1 << start) - 1)  # indices >= start only
             # stack of (node, visited-mask); simple paths from start, and an
             # attack back to start closes a cycle of visited.bit_count() attacks
@@ -209,7 +196,7 @@ def is_controversial_wrt(
 
 def controversial_arguments(framework: Framework) -> ArgSet:
     """All arguments controversial with respect to something."""
-    return ArgSet(framework, _controversial_mask(_parity_closure(framework)[0]))
+    return ArgSet(framework, _controversial_mask(framework))
 
 
 def is_limited_controversial(framework: Framework) -> bool:
@@ -243,8 +230,8 @@ def is_symmetric(framework: Framework) -> bool:
 
 def classify(framework: Framework, max_args: Optional[int] = None) -> ClassificationReport:
     """Populate the full report; semantic fields go absent when too large."""
-    closure, cyclic = _parity_closure(framework)
-    odd = _has_odd_closed_walk(closure)
+    cyclic = has_directed_cycle(framework)
+    odd = odd_cycle_exists(framework)
     grounded_mask = grounded(framework).members.mask
 
     coherent: Optional[bool]
@@ -276,8 +263,8 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
         is_acyclic=not cyclic,
         is_well_founded=not cyclic,
         has_odd_cycle=odd,
-        has_even_cycle=cyclic and even_cycle_exists(framework),
-        is_controversial=_controversial_mask(closure) != 0,
+        has_even_cycle=even_cycle_exists(framework),
+        is_controversial=_controversial_mask(framework) != 0,
         is_limited_controversial=not odd,
         grounded_size=grounded_mask.bit_count(),
         is_coherent=coherent,

@@ -248,8 +248,8 @@ class TestEnumerate:
         scope = f.set_of(["a", "b", "c"])
         found = semantics._search_masks(f, SemanticsKind.COMPLETE, scope.mask)
         assert sorted(core.ArgSet(f, m).names() for m in found) == [(), ("a", "c"), ("b",)]
-        # the search went SCC by SCC: {a, b} before c, and i before j
-        order = [core.ArgSet(f, m).names() for m in core._scc_order(f)]
+        # the search went SCC by SCC, sources first: {a, b} before c, and i before j
+        order = [core.ArgSet(f, m).names() for m in reversed(core._scc_order(f))]
         assert order.index(("a", "b")) < order.index(("c",)) and order.index(("i",)) < order.index(("j",))
         assert _family(f, SemanticsKind.COMPLETE) == {("i",), ("i", "a", "c"), ("i", "b")}
 

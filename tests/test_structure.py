@@ -29,11 +29,12 @@ from argsolve import (
     justification,
     odd_cycle_exists,
 )
-from argsolve import structure
+from argsolve import core, semantics, structure
 from random_frameworks import (
     random_acyclic_framework,
     random_framework,
     random_odd_cycle_free_framework,
+    random_scc_chain_framework,
     random_symmetric_framework,
 )
 
@@ -379,6 +380,13 @@ def _assert_walk_parity_predicates(f):
             assert is_controversial_wrt(f, a, b) == (expect_attack and expect_defend)
 
 
+def _assert_controversial_arguments(f):
+    expected = {
+        a.name for a in f.arguments if any(is_controversial_wrt(f, a, b) for b in f.arguments)
+    }
+    assert set(controversial_arguments(f).names()) == expected, f.attacks
+
+
 def _simple_cycle_lengths(framework):
     """Every simple directed cycle length, by brute-force path extension."""
     n = len(framework)
@@ -398,6 +406,13 @@ def _simple_cycle_lengths(framework):
     for start in range(n):
         extend([start], start)
     return lengths
+
+
+def _assert_cycle_parities(f):
+    lengths = _simple_cycle_lengths(f)
+    assert has_directed_cycle(f) == bool(lengths), f.attacks
+    assert odd_cycle_exists(f) == any(k % 2 == 1 for k in lengths), f.attacks
+    assert even_cycle_exists(f) == any(k % 2 == 0 for k in lengths), f.attacks
 
 
 def _random_frameworks(seed, count, max_sizes):
@@ -420,10 +435,7 @@ class TestAgainstBruteForce:
     def test_cycle_parities(self):
         # the simple-cycle brute force is exponential, so sizes stop at 8
         for f in _random_frameworks(71, 200, (6, 8)):
-            lengths = _simple_cycle_lengths(f)
-            assert has_directed_cycle(f) == bool(lengths)
-            assert odd_cycle_exists(f) == any(k % 2 == 1 for k in lengths)
-            assert even_cycle_exists(f) == any(k % 2 == 0 for k in lengths)
+            _assert_cycle_parities(f)
 
     def test_even_cycles_up_to_fourteen_arguments(self):
         # a simple-path search that stops at the first even cycle, as reference
@@ -449,9 +461,9 @@ class TestAgainstBruteForce:
 
     def test_pair_queries_build_no_closure(self, monkeypatch):
         def refuse(framework):
-            raise AssertionError("a pair query built the whole parity closure")
+            raise AssertionError("a pair query built the whole controversy closure")
 
-        monkeypatch.setattr(structure, "_parity_closure", refuse)
+        monkeypatch.setattr(structure, "_controversial_mask", refuse)
         for f in _random_frameworks(76, 30, (6, 12)):
             _assert_walk_parity_predicates(f)
         names = [f"x{i}" for i in range(3000)]
@@ -463,12 +475,16 @@ class TestAgainstBruteForce:
 
     def test_controversial_argument_collection(self):
         for f in _random_frameworks(73, 100, (6, 12)):
-            expected = {
-                a.name
-                for a in f.arguments
-                if any(is_controversial_wrt(f, a, b) for b in f.arguments)
-            }
-            assert set(controversial_arguments(f).names()) == expected
+            _assert_controversial_arguments(f)
+
+    def test_scc_chains(self):
+        # chains of SCCs, each a cycle plus inner attacks and self-attacks, where
+        # walks leave a 2-coloured SCC from members of either colour
+        rng = random.Random(78)
+        for _ in range(300):
+            f = random_scc_chain_framework(rng, max_size=12)
+            _assert_cycle_parities(f)
+            _assert_controversial_arguments(f)
 
     def test_well_foundedness_against_reachability(self):
         rng = random.Random(74)
@@ -478,6 +494,51 @@ class TestAgainstBruteForce:
             cyclic = any((i, i) in reach for i in range(len(f)))
             assert has_directed_cycle(f) == cyclic
             assert is_well_founded(f) == (not cyclic)
+
+
+class TestOneDecomposition:
+    def test_tarjan_runs_once_per_framework(self, monkeypatch):
+        runs = []
+        components = core._components
+
+        def counted(succ):
+            runs.append(len(succ))
+            return components(succ)
+
+        for module in (core, semantics, structure):  # wherever the name was imported
+            if hasattr(module, "_components"):
+                monkeypatch.setattr(module, "_components", counted)
+        rng = random.Random(82)
+        frameworks = [ex.nixon_diamond(), ex.incoherent_five(), ex.directed_cycle(7)]
+        frameworks += [random_scc_chain_framework(rng, max_size=12, min_size=6) for _ in range(10)]
+        frameworks += [random_framework(rng, max_size=10) for _ in range(10)]
+        for f in frameworks:
+            runs.clear()
+            structure.strongly_connected_components(f)
+            has_directed_cycle(f)
+            odd_cycle_exists(f)
+            even_cycle_exists(f)
+            controversial_arguments(f)
+            classify(f)
+            enumerate_extensions(f, SemanticsKind.COMPLETE)
+            assert runs == [len(f)], f.attacks
+
+    def test_odd_cycle_query_on_a_large_dag_stays_small(self):
+        # a parity-doubled closure of this DAG peaks near 56 MB; the SCCs near 9 MB
+        rng = random.Random(83)
+        names = [f"x{i}" for i in range(10000)]
+        pairs = set()
+        while len(pairs) < 30000:
+            i, j = sorted(rng.sample(range(10000), 2))
+            pairs.add((names[i], names[j]))
+        f = build_framework(names, sorted(pairs))
+        tracemalloc.start()
+        try:
+            assert not odd_cycle_exists(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25_000_000
 
 
 class TestParityClosureLaws:
