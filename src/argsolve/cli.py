@@ -114,10 +114,9 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
     prints as one stderr line. Only the commands that take --max-args read the
     enumeration bound, and only once the file has loaded.
     """
-    forced = InputFormat(args.format) if args.format else None
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
-        framework = load_framework(args.file, forced)
+        framework = load_framework(args.file, args.format)
     if "max_args" in vars(args):
         max_args = _effective_max_args(args.max_args)
     if args.command == "extensions":

@@ -343,51 +343,25 @@ def _backward_mask(framework: Framework, mask: int) -> int:
     return out
 
 
-def _components(succ: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components come out sinks first.
-
-    Every edge stays inside its component or leads to an earlier one. A
-    finished component's members get index ``n``, which lowers no lowlink.
-    """
-    n = len(succ)
-    index_of = [-1] * n
-    lowlink = [0] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if index_of[nxt] == -1:
-                    index_of[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    break
-                if index_of[nxt] < lowlink[node]:
-                    lowlink[node] = index_of[nxt]
+def _finishing_order(framework: Framework) -> list[int]:
+    """The arguments in the order a depth-first search along the attacks finishes them,
+    roots and successors lowest first, on a stack (Kosaraju and Sharir's first sweep)."""
+    succ = framework._succ_masks
+    unseen = framework._full_mask
+    order: list[int] = []
+    while unseen:
+        low = unseen & -unseen
+        unseen ^= low
+        stack = [low.bit_length() - 1]
+        while stack:
+            ahead = succ[stack[-1]] & unseen
+            if ahead:
+                low = ahead & -ahead
+                unseen ^= low
+                stack.append(low.bit_length() - 1)
             else:
-                work.pop()
-                if lowlink[node] == index_of[node]:
-                    component = []
-                    member = -1
-                    while member != node:
-                        member = stack.pop()
-                        index_of[member] = n
-                        component.append(member)
-                    components.append(component)
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+                order.append(stack.pop())
+    return order
 
 
 def _weak_components(framework: Framework) -> list[int]:
@@ -413,23 +387,26 @@ def _weak_components(framework: Framework) -> list[int]:
 def _scc_order(framework: Framework) -> dict[int, int]:
     """Every SCC, sinks first, as a dict ``members: odd`` of masks; made once, in ``_sccs``.
 
-    ``odd``: the members that a walk inside the SCC from its lowest member
-    reaches at odd length, by one parity breadth-first pass. All of them, when
-    the SCC holds an odd closed walk; else ``odd`` and ``members & ~odd``
-    2-colour it, every inner attack crossing colours.
+    Each root not yet placed, in reverse finishing order, begins a source SCC
+    of the arguments left: those that reach it. One parity breadth-first sweep
+    against the attacks finds them and ``odd``, those that reach the root by an
+    odd walk: all of them when the SCC holds an odd closed walk, else ``odd``
+    and ``members & ~odd`` 2-colour it, each inner attack crossing colours.
     """
     if framework._sccs is None:
-        sccs = {}
-        for component in _components([list(_iter_bits(mask)) for mask in framework._succ_masks]):
-            members = sum(1 << i for i in component)
-            frontier = members & -members
-            reached, parity = [frontier, 0], 0  # members reached by an even, an odd walk
-            while frontier:
-                parity ^= 1
-                frontier = _forward_mask(framework, frontier) & members & ~reached[parity]
-                reached[parity] |= frontier
-            sccs[members] = reached[1]
-        framework._sccs = sccs
+        sources_first, left = [], framework._full_mask
+        for root in reversed(_finishing_order(framework)):
+            frontier = 1 << root
+            if frontier & left:
+                reached, parity = [frontier, 0], 0  # reaching the root by an even, an odd walk
+                while frontier:
+                    parity ^= 1
+                    frontier = _backward_mask(framework, frontier) & left & ~reached[parity]
+                    reached[parity] |= frontier
+                members = reached[0] | reached[1]
+                left &= ~members
+                sources_first.append((members, reached[1]))
+        framework._sccs = dict(reversed(sources_first))
     return framework._sccs
 
 

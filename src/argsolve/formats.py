@@ -17,7 +17,7 @@ import warnings
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
     ArgsolveError,
@@ -163,13 +163,15 @@ def parse_apx(text: str) -> Framework:
     return _build(names, pairs)
 
 
-def load_framework(path: Union[str, Path], fmt: Optional[InputFormat] = None) -> Framework:
+def load_framework(path: Union[str, Path], fmt: Union[InputFormat, str, None] = None) -> Framework:
     """Read and parse a framework file, inferring the format if needed.
 
+    ``fmt`` is an InputFormat or its value; anything else is a ValueError.
     The file is UTF-8 and a leading byte-order mark is dropped; any other
     bytes are a ParseError that names the file and the byte offset.
     """
-    parse = parse_tgf if (fmt or InputFormat.for_path(path)) is InputFormat.TGF else parse_apx
+    fmt = InputFormat.for_path(path) if fmt is None else InputFormat(fmt)
+    parse = parse_tgf if fmt is InputFormat.TGF else parse_apx
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as error:

@@ -2,13 +2,14 @@
 
 Every searched family comes from one depth-first search over argument
 indices, ``_search_masks``, which takes its pruning from the family's
-definition: conflict-free, self-defending, or both. Complete, preferred
-and stable are searched SCC by SCC and tested as each SCC closes, so a
-chain of SCCs prunes at every boundary; preferred, a maximal admissible
-set, needs no filter afterwards, and grounded needs no search. Every
-definition looks only at an argument's attackers, so a family is the
-product of the families of the weakly connected components; each
-component is searched on the framework's own masks, in its bits.
+definition: conflict-free, self-defending, or both. It walks the
+arguments SCC by SCC, sources first; complete, preferred and stable are
+tested as each SCC closes, so a chain of SCCs prunes at every boundary;
+preferred, a maximal admissible set, needs no filter afterwards, and
+grounded needs no search. Every definition looks only at an argument's
+attackers, so a family is the product of the families of the weakly
+connected components; each component is searched on the framework's own
+masks, in its bits.
 
 Families are kept as their components' factors, each a list of unordered
 bit masks (``_factors``); queries that count, intersect or test membership
@@ -141,15 +142,16 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     soon as some current attacker can never be counterattacked by any
     argument still undecided, which at a leaf is exactly self-defence.
 
-    Complete, preferred and stable go SCC by SCC, sources first, and test
-    each SCC once its last argument is decided; other kinds go as one SCC.
-    The decided prefix U holds its members' attackers, so the attacker test
-    says ``cur`` is admissible in the framework cut down to U, and nothing
+    Every kind goes SCC by SCC, sources first. Complete, preferred and
+    stable test each SCC once its last argument is decided. The decided
+    prefix U holds its members' attackers, so the attacker test says
+    ``cur`` is admissible in the framework cut down to U, and nothing
     undecided attacks or defends a member of U. Cut down to U, an extension
     of these kinds is one of the same kind (directionality, Baroni and
     Giacomin 2007), so each test is exact, and together they are the leaf
     test: complete fails if a member left out is defended, stable if one is
-    not attacked, naive if one could join. Preferred fails a set inside one
+    not attacked. Naive is not directional, so it fails only at the leaf,
+    if a member left out could join. Preferred fails a set inside one
     kept at the same SCC, as include-first order finds admissible supersets
     first; a set kept under another, hence incomparable, preferred prefix
     never contains ``cur``, so the list empties when the SCC before accepts.
@@ -162,10 +164,7 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     complete = kind is SemanticsKind.COMPLETE
     stable = kind is SemanticsKind.STABLE
     preferred = kind is SemanticsKind.PREFERRED
-    plain = not (naive or complete or stable or preferred)
-    sccs = [scope]
-    if (complete or stable or preferred) and scope not in _scc_order(framework):
-        sccs = [scc for scc in reversed(_scc_order(framework)) if scc & scope]
+    sccs = [scc for scc in reversed(_scc_order(framework)) if scc & scope]
     positions: list[int] = []
     closes = [0]  # closes[k]: the SCC whose last argument is position k - 1, else 0
     for scc in sccs:
@@ -193,22 +192,15 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     while stack:
         index, cur, fwd, bwd = stack.pop()
         while not (defends and bwd & ~fwd & unanswerable[index]):
-            if closes[index]:
-                if plain:  # closed only at the leaf
-                    results.append(cur)
-                    break
-                if naive:  # closed only at the leaf
-                    if scope & ~(cur | fwd | bwd | loops) == 0:
-                        results.append(cur)
-                    break
-                closed = closes[index]
+            closed = closes[index]
+            if closed:
                 if complete:
                     if closed & ~(cur | _forward_mask(framework, attackers[closed] & ~fwd)):
                         break
                 elif stable:
                     if closed & ~(cur | fwd):
                         break
-                else:  # preferred: kept unless a set kept at this SCC contains it
+                elif preferred:  # kept unless a set kept at this SCC contains it
                     sets = kept[index - closed.bit_count()]
                     for other in sets:
                         if cur | other == other:
@@ -217,8 +209,9 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
                         sets.append(cur)
                     if sets[-1] != cur:  # the scan stopped at a superset
                         break
-                if index == n:
-                    results.append(cur)
+                if index == n:  # naive is not directional: its maximality is tested only here
+                    if not naive or scope & ~(cur | fwd | bwd | loops) == 0:
+                        results.append(cur)
                     break
                 if preferred:  # the next SCC starts here, under the prefix just accepted
                     kept[index].clear()

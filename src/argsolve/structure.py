@@ -58,10 +58,10 @@ def _controversial_mask(framework: Framework) -> int:
     """Arguments reaching some argument by both an even and an odd walk.
 
     ``reach[a]``: what ``a`` reaches by an even walk (the empty one counts)
-    and by an odd one, filled SCC by SCC from the sinks up. A 2-coloured
-    SCC's lowest member reaches its members by colour and, through each
-    attack u -> w leaving it, w's pair, swapped unless u is odd-coloured;
-    other members take that pair, swapped at odd ones. An odd SCC reaches
+    and by an odd one, filled SCC by SCC from the sinks up. A member of a
+    2-coloured SCC outside ``odd`` reaches its members by colour and, through
+    each attack u -> w leaving it, w's pair, swapped unless u is odd-coloured;
+    members in ``odd`` take that pair swapped. An odd SCC reaches
     all it reaches at both parities. Its members are controversial when its
     two masks meet.
     """
@@ -86,7 +86,7 @@ def _controversial_mask(framework: Framework) -> int:
 
 def has_directed_cycle(framework: Framework) -> bool:
     """True when some directed cycle (including a self-loop) exists: when some
-    SCC's lowest member reaches a member by an odd walk, which closes one."""
+    SCC member reaches the SCC's root by an odd walk, which closes one."""
     return any(_scc_order(framework).values())
 
 

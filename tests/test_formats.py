@@ -220,6 +220,18 @@ class TestLoadFramework:
         assert load_framework(plain).structurally_equal(expected)
         assert load_framework(marked).structurally_equal(expected)
 
+    def test_format_given_by_value_is_the_format_parsed(self, tmp_path):
+        tgf, apx = tmp_path / "x.tgf", tmp_path / "x.apx"
+        tgf.write_text("a\nb\n#\na b\n")
+        apx.write_text("arg(a).\narg(b).\natt(a,b).\n")
+        expected = build_framework(["a", "b"], [("a", "b")])
+        assert load_framework(tgf, "tgf").structurally_equal(expected)
+        assert load_framework(tgf, InputFormat.TGF).structurally_equal(expected)
+        with pytest.raises(MissingSeparator):  # read as TGF, not as its suffix says
+            load_framework(apx, "tgf")
+        with pytest.raises(ValueError, match="'dot' is not a valid InputFormat"):
+            load_framework(tgf, "dot")
+
     @pytest.mark.parametrize("data, offset", [
         (b"a\nb\xe9\n#\n", 3),
         (b"\xef\xbb\xbfa\n\xe9\n#\n", 5),  # the mark counts in the offset

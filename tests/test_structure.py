@@ -138,14 +138,47 @@ class TestStronglyConnectedComponents:
         for s, d in f.attacks:
             assert position[d.index] <= position[s.index]
 
-    def test_mutual_reachability_classes_sinks_first(self):
+    @staticmethod
+    def _frameworks():
         rng = random.Random(79)
         for _ in range(300):
             n = rng.randint(0, 30)
             p = rng.choice([0.03, 0.08, 0.15, 0.3])
             names = [f"x{i}" for i in range(n)]
             pairs = [(a, b) for a in names for b in names if rng.random() < p]
-            self._assert_components(build_framework(names, pairs))
+            yield build_framework(names, pairs)
+
+    def test_mutual_reachability_classes_sinks_first(self):
+        for f in self._frameworks():
+            self._assert_components(f)
+
+    @staticmethod
+    def _has_odd_closed_walk(members, inner):
+        """Brute force: some member returns to itself by an odd walk along ``inner``."""
+        succ = {i: [d for s, d in inner if s == i] for i in members}
+        for start in members:
+            seen, todo = {(start, 0)}, [(start, 0)]
+            while todo:
+                node, parity = todo.pop()
+                for nxt in succ[node]:
+                    if (nxt, parity ^ 1) not in seen:
+                        seen.add((nxt, parity ^ 1))
+                        todo.append((nxt, parity ^ 1))
+            if (start, 1) in seen:
+                return True
+        return False
+
+    def test_memo_colours_each_scc_or_holds_an_odd_closed_walk(self):
+        for f in self._frameworks():
+            for members, odd in core._scc_order(f).items():
+                assert odd & ~members == 0
+                inside = [i for i in range(len(f)) if members >> i & 1]
+                inner = [(s.index, d.index) for s, d in f.attacks]
+                inner = [(s, d) for s, d in inner if s in inside and d in inside]
+                if odd != members:  # every inner attack joins the two colours
+                    assert all((odd >> s ^ odd >> d) & 1 for s, d in inner), f.attacks
+                else:
+                    assert self._has_odd_closed_walk(inside, inner), f.attacks
 
     def test_long_chain_and_cycle(self):
         names = [f"x{i}" for i in range(20000)]
@@ -497,17 +530,17 @@ class TestAgainstBruteForce:
 
 
 class TestOneDecomposition:
-    def test_tarjan_runs_once_per_framework(self, monkeypatch):
+    def test_sccs_are_swept_once_per_framework(self, monkeypatch):
         runs = []
-        components = core._components
+        sweep = core._finishing_order
 
-        def counted(succ):
-            runs.append(len(succ))
-            return components(succ)
+        def counted(framework):
+            runs.append(len(framework))
+            return sweep(framework)
 
         for module in (core, semantics, structure):  # wherever the name was imported
-            if hasattr(module, "_components"):
-                monkeypatch.setattr(module, "_components", counted)
+            if hasattr(module, "_finishing_order"):
+                monkeypatch.setattr(module, "_finishing_order", counted)
         rng = random.Random(82)
         frameworks = [ex.nixon_diamond(), ex.incoherent_five(), ex.directed_cycle(7)]
         frameworks += [random_scc_chain_framework(rng, max_size=12, min_size=6) for _ in range(10)]
