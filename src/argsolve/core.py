@@ -364,23 +364,25 @@ def _finishing_order(framework: Framework) -> list[int]:
     return order
 
 
-def _weak_components(framework: Framework) -> list[int]:
-    """Weakly connected components as bit masks."""
-    succ = framework._succ_masks
-    pred = framework._pred_masks
-    components: list[int] = []
+def _weak_components(framework: Framework) -> dict[int, list[int]]:
+    """Each weakly connected component as a bit mask, with its SCCs, sources first."""
+    succ, pred = framework._succ_masks, framework._pred_masks
+    components: dict[int, list[int]] = {}
+    owner: list[list[int]] = [[]] * len(succ)  # each argument's component's SCCs
     unseen = framework._full_mask
     while unseen:
         component = frontier = unseen & -unseen
+        sccs: list[int] = []
         while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            i = low.bit_length() - 1
+            i = frontier.bit_length() - 1
+            owner[i] = sccs
             reached = (succ[i] | pred[i]) & ~component
             component |= reached
-            frontier |= reached
+            frontier = frontier ^ 1 << i | reached
         unseen &= ~component
-        components.append(component)
+        components[component] = sccs
+    for scc in reversed(_scc_order(framework)):  # one pass: each SCC joins its lowest member's
+        owner[(scc & -scc).bit_length() - 1].append(scc)
     return components
 
 

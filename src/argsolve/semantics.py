@@ -12,11 +12,11 @@ connected components; each component is searched on the framework's own
 masks, in its bits.
 
 Families are kept as their components' factors, each a list of unordered
-bit masks (``_factors``); queries that count, intersect or test membership
-read the factors and never expand the product. ``enumerate_extensions`` is
-the one place that expands it, and the one place that orders a family:
-lexicographically by each set's rendering ``[n1,n2,...]``, members in
-declaration order.
+bit masks (``_factors``), read without expanding the product; conflict-free,
+self-defending and admissible sets are counted by ``_count_masks`` instead.
+``enumerate_extensions`` is the one place that expands the product, and the
+one place that orders a family: lexicographically by each set's rendering
+``[n1,n2,...]``, members in declaration order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import (
     _iter_bits,
     _render,
     _require_tagged,
-    _scc_order,
     _two_slot_constructor,
     _weak_components,
 )
@@ -131,7 +130,55 @@ def grounded(framework: Framework) -> Extension:
     return Extension(_argset(framework, in_mask), SemanticsKind.GROUNDED)
 
 
-def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list[int]:
+def _layout(framework: Framework, scope: int, sccs: Optional[list[int]]) -> tuple:
+    """``scope``'s SCCs, unless given: component by component, each one's sources first;
+    their arguments in that order; and ``closes[k]``, the SCC that position k - 1 ends, else 0."""
+    sccs = sccs or [scc for c, cs in _weak_components(framework).items() if c & scope for scc in cs]
+    positions, closes = [], [0]
+    for scc in sccs:
+        positions += _iter_bits(scc)
+        closes += [0] * (scc.bit_count() - 1) + [scc]
+    return sccs, positions, closes
+
+
+def _count_masks(framework: Framework, kind: SemanticsKind, scope: int) -> int:
+    """How many conflict-free, self-defending or admissible sets ``_search_masks`` finds.
+
+    A dynamic program over the same positions counts the prefixes reaching each state:
+    the later positions a prefix blocks, its attacks on their attackers and its attackers
+    not yet attacked, each kept where the kind tests it. One state's prefixes have as many
+    completions, so each step merges them; a state dies where the search's branch would.
+    A component ends in the empty state alone, so several count as their product.
+    """
+    _, positions, _ = _layout(framework, scope, None)
+    succ, pred = framework._succ_masks, framework._pred_masks
+    blocks = 0 if kind is SemanticsKind.SELF_DEFENDING else -1  # the kind tests conflicts
+    opens = 0 if kind is SemanticsKind.CONFLICT_FREE else -1  # the kind tests defence
+    loops = framework._self_loop_mask & blocks
+    ahead = [(0, 0, -1)]  # last first: later positions, their attackers, what none of them attacks
+    for i in reversed(positions[1:]):
+        later, attackers, unattacked = ahead[-1]
+        ahead.append((later | 1 << i & blocks, attackers | pred[i] & opens, unattacked & ~succ[i]))
+    counts = {(0, 0, 0): 1}
+    for i in positions:
+        later, attackers, unattacked = ahead.pop()
+        bit, attacks, attacked_by = 1 << i, succ[i], pred[i]
+        step: dict[tuple[int, int, int], int] = {}
+        for (blocked, fwd, open_), count in counts.items():
+            if not open_ & unattacked:
+                key = (blocked & later, fwd & attackers, open_)
+                step[key] = step.get(key, 0) + count
+            if not (blocked | loops) & bit:
+                open_ = (open_ | attacked_by & ~fwd) & ~attacks & opens
+                if not open_ & unattacked:
+                    blocked |= attacks | attacked_by
+                    key = (blocked & later, (fwd | attacks) & attackers, open_)
+                    step[key] = step.get(key, 0) + count
+        counts = step
+    return sum(counts.values())
+
+
+def _search_masks(framework: Framework, kind: SemanticsKind, scope: int, sccs=None) -> list[int]:
     """DFS over the indices in ``scope``, pruned and tested as ``kind`` says.
 
     ``scope`` is a union of weakly connected components, which hold their
@@ -164,12 +211,7 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int) -> list
     complete = kind is SemanticsKind.COMPLETE
     stable = kind is SemanticsKind.STABLE
     preferred = kind is SemanticsKind.PREFERRED
-    sccs = [scc for scc in reversed(_scc_order(framework)) if scc & scope]
-    positions: list[int] = []
-    closes = [0]  # closes[k]: the SCC whose last argument is position k - 1, else 0
-    for scc in sccs:
-        positions += _iter_bits(scc)
-        closes += [0] * (scc.bit_count() - 1) + [scc]
+    sccs, positions, closes = _layout(framework, scope, sccs)
     n = len(positions)
     bits = [1 << i for i in positions]
     succ = [framework._succ_masks[i] for i in positions]
@@ -242,7 +284,7 @@ def _factors(
     bound = DEFAULT_MAX_ARGS if max_args is None else max_args
     if len(framework.arguments) > bound:
         raise TooLarge(len(framework.arguments), bound)
-    return [_search_masks(framework, kind, c) for c in _weak_components(framework)]
+    return [_search_masks(framework, kind, *scope) for scope in _weak_components(framework).items()]
 
 
 def enumerate_extensions(

@@ -18,7 +18,7 @@ from operator import and_, or_
 from typing import Optional, Union
 
 from .core import ArgSet, ArgumentId, Framework, _forward_mask, _iter_bits, _scc_order
-from .semantics import SemanticsKind, TooLarge, _factors, grounded
+from .semantics import SemanticsKind, TooLarge, _count_masks, _factors, grounded
 
 
 @dataclass(frozen=True)
@@ -239,9 +239,11 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
     covers: Optional[bool]
     coincide: Optional[bool]
     counts: Optional[dict[SemanticsKind, int]]
-    try:
-        factors = {kind: _factors(framework, kind, max_args) for kind in SemanticsKind}
-        counts = {kind: prod(map(len, f)) for kind, f in factors.items()}
+    counted = (SemanticsKind.CONFLICT_FREE, SemanticsKind.SELF_DEFENDING, SemanticsKind.ADMISSIBLE)
+    try:  # _factors checks the bound before anything is counted
+        factors = {k: _factors(framework, k, max_args) for k in SemanticsKind if k not in counted}
+        counts = {k: _count_masks(framework, k, framework._full_mask) if k in counted
+                  else prod(map(len, factors[k])) for k in SemanticsKind}
         preferred = factors[SemanticsKind.PREFERRED]
         # Dung 1995: stable lies inside preferred (Lemma 15), so equal counts are equal
         # families; a sole complete extension is grounded (Thm 25) and the sole preferred

@@ -1,5 +1,6 @@
 """Membership predicates, enumeration, and justification queries."""
 
+import math
 import os
 import random
 import re
@@ -37,7 +38,11 @@ from argsolve import (
     unattacked,
 )
 from argsolve import core, semantics
-from random_frameworks import random_framework
+from random_frameworks import (
+    random_framework,
+    random_scc_chain_framework,
+    random_shuffled_names_framework,
+)
 
 
 def _family(framework, kind, **kwargs):
@@ -291,6 +296,75 @@ class TestEnumerate:
         assert [answers(f) for f in (single, multi)] == expected
 
 
+_COUNTED = (SemanticsKind.CONFLICT_FREE, SemanticsKind.SELF_DEFENDING, SemanticsKind.ADMISSIBLE)
+
+
+def _hub(k):
+    # k mutual pairs a_i <-> b_i, every a_i attacks z; names in shuffled order
+    names = [f"{side}{i}" for i in range(k) for side in "ab"] + ["z"]
+    pairs = [(f"a{i}", f"b{i}") for i in range(k)] + [(f"b{i}", f"a{i}") for i in range(k)]
+    random.Random(21).shuffle(names)
+    return build_framework(names, pairs + [(f"a{i}", "z") for i in range(k)])
+
+
+class TestCountMasks:
+    """``_count_masks`` counts the sets ``_search_masks`` lists, without listing them."""
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [
+            (random_framework, 251),
+            (random_scc_chain_framework, 252),
+            (random_shuffled_names_framework, 253),
+        ],
+    )
+    def test_counts_equal_the_search_on_every_weak_component(self, make, seed):
+        # 1000 frameworks per generator; random_framework draws self-loops, and the
+        # SCC chains and shuffled names put declaration order apart from the SCC order
+        rng = random.Random(seed)
+        for _ in range(1000):
+            f = make(rng)
+            components = core._weak_components(f)
+            grouped = [scc for sccs in components.values() for scc in sccs]
+            assert sorted(grouped) == sorted(core._scc_order(f))
+            for scope, sccs in components.items():
+                assert sccs == [scc for scc in reversed(core._scc_order(f)) if scc & scope]
+                for kind in _COUNTED:
+                    found = semantics._search_masks(f, kind, scope, sccs)
+                    assert semantics._count_masks(f, kind, scope) == len(found), (kind, f.attacks)
+            for kind in _COUNTED:  # every component at once: the product of their counts
+                counts = [semantics._count_masks(f, kind, scope) for scope in components]
+                assert semantics._count_masks(f, kind, f._full_mask) == math.prod(counts)
+
+    def test_empty_framework_has_one_set_of_each_kind(self):
+        f = ex.empty()
+        assert core._weak_components(f) == {}
+        for kind in _COUNTED:
+            assert semantics._count_masks(f, kind, 0) == 1 == len(enumerate_extensions(f, kind))
+            assert classify(f).extension_counts[kind] == 1
+
+    def test_twelve_mutual_pairs(self):
+        # per pair: 3 conflict-free, 4 self-defending and 3 admissible sets; the whole
+        # framework, twelve components at once, is counted without listing 4^12 sets
+        names = [f"{side}{i}" for i in range(12) for side in "ab"]
+        pairs = [(f"a{i}", f"b{i}") for i in range(12)]
+        f = build_framework(names, pairs + [(b, a) for a, b in pairs])
+        for scope in core._weak_components(f):
+            for kind in _COUNTED:
+                count = semantics._count_masks(f, kind, scope)
+                assert count == len(semantics._search_masks(f, kind, scope))
+        for kind, base in zip(_COUNTED, (3, 4, 3)):
+            assert semantics._count_masks(f, kind, f._full_mask) == base**12
+
+    def test_ten_pair_hub_self_defending_count(self):
+        # one weak component of 1,049,600 self-defending sets, which a listing search
+        # took about 0.7-0.8 s to build
+        hub = _hub(10)
+        start = time.process_time()
+        count = semantics._count_masks(hub, SemanticsKind.SELF_DEFENDING, hub._full_mask)
+        assert count == 1_049_600 and time.process_time() - start < 0.1
+
+
 class TestSccOrderSpeed:
     """Complete, preferred and stable prune at every SCC boundary, not only at the leaf."""
 
@@ -299,10 +373,7 @@ class TestSccOrderSpeed:
         # k mutual pairs a_i <-> b_i, every a_i attacks z: 2^k preferred extensions among
         # 3^k + 1 admissible sets. A leaf-only search took about 0.6 s at k = 10; kept
         # lists never emptied at the SCC boundaries took about 0.9 s at k = 12
-        names = [f"{side}{i}" for i in range(k) for side in "ab"] + ["z"]
-        pairs = [(f"a{i}", f"b{i}") for i in range(k)] + [(f"b{i}", f"a{i}") for i in range(k)]
-        random.Random(21).shuffle(names)
-        hub = build_framework(names, pairs + [(f"a{i}", "z") for i in range(k)])
+        hub = _hub(k)
         start = time.process_time()
         (factor,) = semantics._factors(hub, SemanticsKind.PREFERRED, 2 * k + 1)
         assert len(factor) == 2**k and time.process_time() - start < 0.1

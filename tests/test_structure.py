@@ -346,6 +346,30 @@ class TestClassify:
         assert report.preferred_covers_all and not report.all_dung_semantics_coincide
         assert classify_peak < 5_000_000 and predicates_peak < 5_000_000
 
+    def test_dense_scc_families_are_counted_not_listed(self):
+        # one SCC of 22 arguments, a Hamiltonian cycle plus p = 0.3 attacks, with 3,587,379
+        # self-defending sets: listing them took about 2 s and a 142 MB peak
+        def dense():
+            rng = random.Random(22)
+            names = [f"x{i}" for i in range(22)]
+            pairs = {(names[i], names[(i + 1) % 22]) for i in range(22)}
+            pairs |= {(a, b) for a in names for b in names if a != b and rng.random() < 0.3}
+            return build_framework(names, sorted(pairs))
+
+        f = dense()
+        start = time.process_time()
+        report = classify(f)
+        assert time.process_time() - start < 0.6
+        assert report.extension_counts[SemanticsKind.SELF_DEFENDING] == 3_587_379
+        f = dense()
+        tracemalloc.start()
+        try:
+            classify(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
     def test_grounded_and_classify_are_not_quadratic_on_a_long_chain(self):
         # far above a linear pass, far below a quadratic one (about 4 s for each call)
         names = [f"x{i}" for i in range(5000)]
