@@ -364,10 +364,10 @@ def _finishing_order(framework: Framework) -> list[int]:
     return order
 
 
-def _weak_components(framework: Framework) -> dict[int, list[int]]:
-    """Each weakly connected component as a bit mask, with its SCCs, sources first."""
+def _weak_components(framework: Framework) -> list[list[int]]:
+    """Each weakly connected component's SCCs, sources first."""
     succ, pred = framework._succ_masks, framework._pred_masks
-    components: dict[int, list[int]] = {}
+    components: list[list[int]] = []
     owner: list[list[int]] = [[]] * len(succ)  # each argument's component's SCCs
     unseen = framework._full_mask
     while unseen:
@@ -380,7 +380,7 @@ def _weak_components(framework: Framework) -> dict[int, list[int]]:
             component |= reached
             frontier = frontier ^ 1 << i | reached
         unseen &= ~component
-        components[component] = sccs
+        components.append(sccs)
     for scc in reversed(_scc_order(framework)):  # one pass: each SCC joins its lowest member's
         owner[(scc & -scc).bit_length() - 1].append(scc)
     return components

@@ -1,15 +1,14 @@
 """Extension families and justification queries.
 
-Every searched family comes from one depth-first search over argument
-indices, ``_search_masks``, which takes its pruning from the family's
-definition: conflict-free, self-defending, or both. It walks the
-arguments SCC by SCC, sources first; complete, preferred and stable are
-tested as each SCC closes, so a chain of SCCs prunes at every boundary;
-preferred, a maximal admissible set, needs no filter afterwards, and
-grounded needs no search. Every definition looks only at an argument's
-attackers, so a family is the product of the families of the weakly
-connected components; each component is searched on the framework's own
-masks, in its bits.
+Every searched family comes from one depth-first search over a list of
+SCCs, ``_search_masks``, which takes its pruning from the family's
+definition: conflict-free, self-defending, or both. ``_layout`` states what
+the list must hold. The search walks it sources first; complete, preferred
+and stable are tested as each SCC closes, so a chain of SCCs prunes at
+every boundary; preferred, a maximal admissible set, needs no filter
+afterwards, and grounded needs no search. Every definition looks only at
+an argument's attackers, so a family is the product of the families of
+the weakly connected components, each searched over its own SCCs.
 
 Families are kept as their components' factors, each a list of unordered
 bit masks (``_factors``), read without expanding the product; conflict-free,
@@ -130,18 +129,22 @@ def grounded(framework: Framework) -> Extension:
     return Extension(_argset(framework, in_mask), SemanticsKind.GROUNDED)
 
 
-def _layout(framework: Framework, scope: int, sccs: Optional[list[int]]) -> tuple:
-    """``scope``'s SCCs, unless given: component by component, each one's sources first;
-    their arguments in that order; and ``closes[k]``, the SCC that position k - 1 ends, else 0."""
-    sccs = sccs or [scc for c, cs in _weak_components(framework).items() if c & scope for scc in cs]
+def _layout(framework: Framework, sccs: list[int]) -> tuple:
+    """Both engines' one input: ``sccs``, each after its attackers' SCCs and together holding
+    their members' attackers, so an engine finds the family of the framework cut down to them,
+    in its bits. The positions are their arguments in that order; ``closes[k]`` is the SCC
+    position k - 1 ends, else 0; ``unanswerable[k]`` is every argument no position >= k attacks."""
     positions, closes = [], [0]
     for scc in sccs:
         positions += _iter_bits(scc)
         closes += [0] * (scc.bit_count() - 1) + [scc]
-    return sccs, positions, closes
+    succ, unanswerable = framework._succ_masks, [-1] * (len(positions) + 1)
+    for k in range(len(positions) - 1, -1, -1):
+        unanswerable[k] = unanswerable[k + 1] & ~succ[positions[k]]
+    return positions, closes, unanswerable
 
 
-def _count_masks(framework: Framework, kind: SemanticsKind, scope: int) -> int:
+def _count_masks(framework: Framework, kind: SemanticsKind, sccs: list[int]) -> int:
     """How many conflict-free, self-defending or admissible sets ``_search_masks`` finds.
 
     A dynamic program over the same positions counts the prefixes reaching each state:
@@ -150,18 +153,18 @@ def _count_masks(framework: Framework, kind: SemanticsKind, scope: int) -> int:
     completions, so each step merges them; a state dies where the search's branch would.
     A component ends in the empty state alone, so several count as their product.
     """
-    _, positions, _ = _layout(framework, scope, None)
+    positions, _, unanswerable = _layout(framework, sccs)
     succ, pred = framework._succ_masks, framework._pred_masks
     blocks = 0 if kind is SemanticsKind.SELF_DEFENDING else -1  # the kind tests conflicts
     opens = 0 if kind is SemanticsKind.CONFLICT_FREE else -1  # the kind tests defence
     loops = framework._self_loop_mask & blocks
-    ahead = [(0, 0, -1)]  # last first: later positions, their attackers, what none of them attacks
+    ahead = [(0, 0)]  # last first: the later positions and their attackers
     for i in reversed(positions[1:]):
-        later, attackers, unattacked = ahead[-1]
-        ahead.append((later | 1 << i & blocks, attackers | pred[i] & opens, unattacked & ~succ[i]))
+        later, attackers = ahead[-1]
+        ahead.append((later | 1 << i & blocks, attackers | pred[i] & opens))
     counts = {(0, 0, 0): 1}
-    for i in positions:
-        later, attackers, unattacked = ahead.pop()
+    for k, i in enumerate(positions, 1):
+        (later, attackers), unattacked = ahead.pop(), unanswerable[k]
         bit, attacks, attacked_by = 1 << i, succ[i], pred[i]
         step: dict[tuple[int, int, int], int] = {}
         for (blocked, fwd, open_), count in counts.items():
@@ -178,11 +181,9 @@ def _count_masks(framework: Framework, kind: SemanticsKind, scope: int) -> int:
     return sum(counts.values())
 
 
-def _search_masks(framework: Framework, kind: SemanticsKind, scope: int, sccs=None) -> list[int]:
-    """DFS over the indices in ``scope``, pruned and tested as ``kind`` says.
+def _search_masks(framework: Framework, kind: SemanticsKind, sccs: list[int]) -> list[int]:
+    """DFS over the positions ``_layout`` makes of ``sccs``, pruned and tested as ``kind`` says.
 
-    ``scope`` is a union of weakly connected components, which hold their
-    members' attackers, so every set found is in the framework's own bits.
     Every kind but self-defending is conflict-free: a branch may not add an
     argument that attacks, or is attacked by, itself or the current set.
     Every kind but conflict-free and naive defends itself: a branch dies as
@@ -204,29 +205,22 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int, sccs=No
     never contains ``cur``, so the list empties when the SCC before accepts.
     The search is one loop over a stack of pending branches, not recursion.
     """
-    loops = framework._self_loop_mask
+    loops, attackers = framework._self_loop_mask, framework._pred_masks
     conflict_free = kind is not SemanticsKind.SELF_DEFENDING
     defends = kind is not SemanticsKind.CONFLICT_FREE and kind is not SemanticsKind.NAIVE
     naive = kind is SemanticsKind.NAIVE
     complete = kind is SemanticsKind.COMPLETE
     stable = kind is SemanticsKind.STABLE
     preferred = kind is SemanticsKind.PREFERRED
-    sccs, positions, closes = _layout(framework, scope, sccs)
-    n = len(positions)
+    if not sccs:  # the framework cut down to nothing has one set, the empty one
+        return [0]
+    positions, closes, unanswerable = _layout(framework, sccs)
+    n, scope = len(positions), sum(sccs)  # the SCCs are disjoint
     bits = [1 << i for i in positions]
     succ = [framework._succ_masks[i] for i in positions]
     pred = [framework._pred_masks[i] for i in positions]
-    # complete: each SCC's attackers; a scope that is one SCC holds its members' attackers
-    attackers = {scope: scope}
-    if complete and len(sccs) > 1:
-        attackers = {scc: _backward_mask(framework, scc) for scc in sccs}
     kept = [[] for _ in closes] if preferred else []  # the sets kept at an SCC, by its first position
     results: list[int] = []
-
-    # unanswerable[k] = every argument that no position >= k attacks
-    unanswerable = [-1] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        unanswerable[k] = unanswerable[k + 1] & ~succ[k]
 
     # a branch (index, cur, fwd, bwd) goes on by including ``index`` and stacks the one
     # excluding it, so of two leaves the one holding the first index they differ in comes first
@@ -236,8 +230,8 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int, sccs=No
         while not (defends and bwd & ~fwd & unanswerable[index]):
             closed = closes[index]
             if closed:
-                if complete:
-                    if closed & ~(cur | _forward_mask(framework, attackers[closed] & ~fwd)):
+                if complete:  # a member cur attacks is undefended, as cur is conflict-free
+                    if any(not attackers[i] & ~fwd for i in _iter_bits(closed & ~(cur | fwd))):
                         break
                 elif stable:
                     if closed & ~(cur | fwd):
@@ -251,12 +245,11 @@ def _search_masks(framework: Framework, kind: SemanticsKind, scope: int, sccs=No
                         sets.append(cur)
                     if sets[-1] != cur:  # the scan stopped at a superset
                         break
+                    kept[index].clear()  # the next SCC starts here, under the prefix just accepted
                 if index == n:  # naive is not directional: its maximality is tested only here
                     if not naive or scope & ~(cur | fwd | bwd | loops) == 0:
                         results.append(cur)
                     break
-                if preferred:  # the next SCC starts here, under the prefix just accepted
-                    kept[index].clear()
             if not (conflict_free and (fwd | bwd | loops) & bits[index]):
                 stack.append((index + 1, cur, fwd, bwd))
                 cur, fwd, bwd = cur | bits[index], fwd | succ[index], bwd | pred[index]
@@ -284,7 +277,7 @@ def _factors(
     bound = DEFAULT_MAX_ARGS if max_args is None else max_args
     if len(framework.arguments) > bound:
         raise TooLarge(len(framework.arguments), bound)
-    return [_search_masks(framework, kind, *scope) for scope in _weak_components(framework).items()]
+    return [_search_masks(framework, kind, sccs) for sccs in _weak_components(framework)]
 
 
 def enumerate_extensions(

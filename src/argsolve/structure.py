@@ -17,7 +17,9 @@ from math import prod
 from operator import and_, or_
 from typing import Optional, Union
 
-from .core import ArgSet, ArgumentId, Framework, _forward_mask, _iter_bits, _scc_order
+from .core import (
+    ArgSet, ArgumentId, Framework, _forward_mask, _iter_bits, _scc_order, _weak_components
+)
 from .semantics import SemanticsKind, TooLarge, _count_masks, _factors, grounded
 
 
@@ -242,7 +244,8 @@ def classify(framework: Framework, max_args: Optional[int] = None) -> Classifica
     counted = (SemanticsKind.CONFLICT_FREE, SemanticsKind.SELF_DEFENDING, SemanticsKind.ADMISSIBLE)
     try:  # _factors checks the bound before anything is counted
         factors = {k: _factors(framework, k, max_args) for k in SemanticsKind if k not in counted}
-        counts = {k: _count_masks(framework, k, framework._full_mask) if k in counted
+        sccs = [scc for component in _weak_components(framework) for scc in component]
+        counts = {k: _count_masks(framework, k, sccs) if k in counted
                   else prod(map(len, factors[k])) for k in SemanticsKind}
         preferred = factors[SemanticsKind.PREFERRED]
         # Dung 1995: stable lies inside preferred (Lemma 15), so equal counts are equal

@@ -35,6 +35,7 @@ from argsolve import (
     is_stable,
     is_well_founded,
     justification,
+    oracle_enumerate,
     unattacked,
 )
 from argsolve import core, semantics
@@ -250,8 +251,9 @@ class TestEnumerate:
         f = build_framework(
             ["i", "a", "b", "c", "j"], [("a", "b"), ("b", "a"), ("b", "c"), ("i", "j")]
         )
-        scope = f.set_of(["a", "b", "c"])
-        found = semantics._search_masks(f, SemanticsKind.COMPLETE, scope.mask)
+        scope = f.set_of(["a", "b", "c"]).mask
+        sccs = [scc for scc in reversed(core._scc_order(f)) if scc & scope]
+        found = semantics._search_masks(f, SemanticsKind.COMPLETE, sccs)
         assert sorted(core.ArgSet(f, m).names() for m in found) == [(), ("a", "c"), ("b",)]
         # the search went SCC by SCC, sources first: {a, b} before c, and i before j
         order = [core.ArgSet(f, m).names() for m in reversed(core._scc_order(f))]
@@ -296,6 +298,7 @@ class TestEnumerate:
         assert [answers(f) for f in (single, multi)] == expected
 
 
+_SEARCHED = [kind for kind in SemanticsKind if kind is not SemanticsKind.GROUNDED]
 _COUNTED = (SemanticsKind.CONFLICT_FREE, SemanticsKind.SELF_DEFENDING, SemanticsKind.ADMISSIBLE)
 
 
@@ -325,22 +328,24 @@ class TestCountMasks:
         for _ in range(1000):
             f = make(rng)
             components = core._weak_components(f)
-            grouped = [scc for sccs in components.values() for scc in sccs]
+            grouped = [scc for sccs in components for scc in sccs]
             assert sorted(grouped) == sorted(core._scc_order(f))
-            for scope, sccs in components.items():
+            for sccs in components:
+                scope = sum(sccs)  # no attack leaves a component
+                assert (core._forward_mask(f, scope) | core._backward_mask(f, scope)) & ~scope == 0
                 assert sccs == [scc for scc in reversed(core._scc_order(f)) if scc & scope]
                 for kind in _COUNTED:
-                    found = semantics._search_masks(f, kind, scope, sccs)
-                    assert semantics._count_masks(f, kind, scope) == len(found), (kind, f.attacks)
+                    found = semantics._search_masks(f, kind, sccs)
+                    assert semantics._count_masks(f, kind, sccs) == len(found), (kind, f.attacks)
             for kind in _COUNTED:  # every component at once: the product of their counts
-                counts = [semantics._count_masks(f, kind, scope) for scope in components]
-                assert semantics._count_masks(f, kind, f._full_mask) == math.prod(counts)
+                counts = [semantics._count_masks(f, kind, sccs) for sccs in components]
+                assert semantics._count_masks(f, kind, grouped) == math.prod(counts)
 
     def test_empty_framework_has_one_set_of_each_kind(self):
         f = ex.empty()
-        assert core._weak_components(f) == {}
+        assert core._weak_components(f) == []
         for kind in _COUNTED:
-            assert semantics._count_masks(f, kind, 0) == 1 == len(enumerate_extensions(f, kind))
+            assert semantics._count_masks(f, kind, []) == 1 == len(enumerate_extensions(f, kind))
             assert classify(f).extension_counts[kind] == 1
 
     def test_twelve_mutual_pairs(self):
@@ -349,20 +354,68 @@ class TestCountMasks:
         names = [f"{side}{i}" for i in range(12) for side in "ab"]
         pairs = [(f"a{i}", f"b{i}") for i in range(12)]
         f = build_framework(names, pairs + [(b, a) for a, b in pairs])
-        for scope in core._weak_components(f):
+        components = core._weak_components(f)
+        for sccs in components:
             for kind in _COUNTED:
-                count = semantics._count_masks(f, kind, scope)
-                assert count == len(semantics._search_masks(f, kind, scope))
+                count = semantics._count_masks(f, kind, sccs)
+                assert count == len(semantics._search_masks(f, kind, sccs))
         for kind, base in zip(_COUNTED, (3, 4, 3)):
-            assert semantics._count_masks(f, kind, f._full_mask) == base**12
+            assert semantics._count_masks(f, kind, sum(components, [])) == base**12
 
     def test_ten_pair_hub_self_defending_count(self):
         # one weak component of 1,049,600 self-defending sets, which a listing search
         # took about 0.7-0.8 s to build
         hub = _hub(10)
+        (sccs,) = core._weak_components(hub)
         start = time.process_time()
-        count = semantics._count_masks(hub, SemanticsKind.SELF_DEFENDING, hub._full_mask)
+        count = semantics._count_masks(hub, SemanticsKind.SELF_DEFENDING, sccs)
         assert count == 1_049_600 and time.process_time() - start < 0.1
+
+
+class TestSccListInput:
+    """Both engines take a list of SCCs, each after its attackers' SCCs, that together hold
+    their members' attackers, and find the family of the framework cut down to that list."""
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [
+            (random_framework, 261),
+            (random_scc_chain_framework, 262),
+            (random_shuffled_names_framework, 263),
+        ],
+    )
+    def test_the_arguments_that_reach_one_argument(self, make, seed):
+        # 500 frameworks per generator, n <= 10: the arguments that reach a given one hold
+        # their own attackers, yet need not be a union of weak components
+        rng = random.Random(seed)
+        for _ in range(500):
+            f = make(rng, max_size=10)
+            scopes = set()
+            for a in range(len(f.arguments)):
+                reach = frontier = 1 << a
+                while frontier:
+                    frontier = core._backward_mask(f, frontier) & ~reach
+                    reach |= frontier
+                scopes.add(reach)
+            for scope in scopes:
+                sccs = [scc for scc in reversed(core._scc_order(f)) if scc & scope]
+                names = core.ArgSet(f, scope).names()
+                pairs = [(s.name, d.name) for s, d in f.attacks if {s.name, d.name} <= set(names)]
+                sub = build_framework(names, pairs)
+                for kind in _SEARCHED:
+                    oracle = oracle_enumerate(sub, kind).extensions
+                    expected = [f.set_of(s.names()).mask for s in oracle]
+                    found = semantics._search_masks(f, kind, sccs)
+                    assert sorted(found) == sorted(expected), (kind, names, f.attacks)
+                    if kind in _COUNTED:
+                        assert semantics._count_masks(f, kind, sccs) == len(expected)
+
+    def test_an_empty_list(self):
+        # the framework cut down to nothing has one set of every kind: the empty one
+        for f in (ex.empty(), ex.mixed_five()):
+            for kind in _SEARCHED:
+                assert semantics._search_masks(f, kind, []) == [0]
+                assert semantics._count_masks(f, kind, []) == 1
 
 
 class TestSccOrderSpeed:
