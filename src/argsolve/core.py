@@ -381,19 +381,19 @@ def _weak_components(framework: Framework) -> list[list[int]]:
             frontier = frontier ^ 1 << i | reached
         unseen &= ~component
         components.append(sccs)
-    for scc in reversed(_scc_order(framework)):  # one pass: each SCC joins its lowest member's
+    for scc in _scc_order(framework):  # one pass: each SCC joins its lowest member's
         owner[(scc & -scc).bit_length() - 1].append(scc)
     return components
 
 
 def _scc_order(framework: Framework) -> dict[int, int]:
-    """Every SCC, sinks first, as a dict ``members: odd`` of masks; made once, in ``_sccs``.
+    """Every SCC, sources first, as a dict ``members: odd`` of masks; made once, in ``_sccs``.
 
-    Each root not yet placed, in reverse finishing order, begins a source SCC
-    of the arguments left: those that reach it. One parity breadth-first sweep
-    against the attacks finds them and ``odd``, those that reach the root by an
-    odd walk: all of them when the SCC holds an odd closed walk, else ``odd``
-    and ``members & ~odd`` 2-colour it, each inner attack crossing colours.
+    Each root not yet placed, in reverse finishing order, begins a source SCC of the arguments
+    left: those that reach it. One parity breadth-first sweep against the attacks finds them
+    and ``odd``, those that reach the root by an odd walk: all of them when the SCC holds an
+    odd closed walk, else ``odd`` and ``members & ~odd`` 2-colour it, each inner attack
+    crossing colours. ``structure._controversial_mask`` alone reads the SCCs sinks first.
     """
     if framework._sccs is None:
         sources_first, left = [], framework._full_mask
@@ -408,7 +408,7 @@ def _scc_order(framework: Framework) -> dict[int, int]:
                 members = reached[0] | reached[1]
                 left &= ~members
                 sources_first.append((members, reached[1]))
-        framework._sccs = dict(reversed(sources_first))
+        framework._sccs = dict(sources_first)
     return framework._sccs
 
 

@@ -1,9 +1,9 @@
 """Structural and meta-semantic classification of a framework.
 
-Cycle and controversy queries read the SCCs, each 2-coloured along its
-attacks or found to hold an odd closed walk, computed once per framework
-(``core._scc_order``). "Path" here means walk, repeats allowed: a self-loop
-traversed twice is an even walk, which is exactly how controversy behaves.
+Cycle and controversy queries read the SCCs of ``core._scc_order``, sources first,
+each 2-coloured along its attacks or found to hold an odd closed walk; only
+``_controversial_mask`` walks them sinks first. "Path" here means walk, repeats
+allowed: a self-loop traversed twice is an even walk, which is how controversy behaves.
 The well-foundedness and limited-controversy predicates implement the
 finite specialisations (acyclicity, absence of odd cycles); they are only
 meaningful for the finite frameworks this library represents.
@@ -51,11 +51,6 @@ class ClassificationReport:
     extension_counts: Optional[dict[SemanticsKind, int]]
 
 
-def strongly_connected_components(framework: Framework) -> list[list[int]]:
-    """Components as index lists, sinks first; members in ascending order."""
-    return [list(_iter_bits(members)) for members in _scc_order(framework)]
-
-
 def _controversial_mask(framework: Framework) -> int:
     """Arguments reaching some argument by both an even and an odd walk.
 
@@ -69,7 +64,7 @@ def _controversial_mask(framework: Framework) -> int:
     """
     reach: list[tuple[int, int]] = [(0, 0)] * len(framework.arguments)
     out = 0
-    for members, odd in _scc_order(framework).items():
+    for members, odd in reversed(_scc_order(framework).items()):
         sides = (members & ~odd, odd)
         pair = list(sides)
         for colour, side in enumerate(sides):

@@ -252,11 +252,11 @@ class TestEnumerate:
             ["i", "a", "b", "c", "j"], [("a", "b"), ("b", "a"), ("b", "c"), ("i", "j")]
         )
         scope = f.set_of(["a", "b", "c"]).mask
-        sccs = [scc for scc in reversed(core._scc_order(f)) if scc & scope]
+        sccs = [scc for scc in core._scc_order(f) if scc & scope]
         found = semantics._search_masks(f, SemanticsKind.COMPLETE, sccs)
         assert sorted(core.ArgSet(f, m).names() for m in found) == [(), ("a", "c"), ("b",)]
         # the search went SCC by SCC, sources first: {a, b} before c, and i before j
-        order = [core.ArgSet(f, m).names() for m in reversed(core._scc_order(f))]
+        order = [core.ArgSet(f, m).names() for m in core._scc_order(f)]
         assert order.index(("a", "b")) < order.index(("c",)) and order.index(("i",)) < order.index(("j",))
         assert _family(f, SemanticsKind.COMPLETE) == {("i",), ("i", "a", "c"), ("i", "b")}
 
@@ -333,7 +333,7 @@ class TestCountMasks:
             for sccs in components:
                 scope = sum(sccs)  # no attack leaves a component
                 assert (core._forward_mask(f, scope) | core._backward_mask(f, scope)) & ~scope == 0
-                assert sccs == [scc for scc in reversed(core._scc_order(f)) if scc & scope]
+                assert sccs == [scc for scc in core._scc_order(f) if scc & scope]
                 for kind in _COUNTED:
                     found = semantics._search_masks(f, kind, sccs)
                     assert semantics._count_masks(f, kind, sccs) == len(found), (kind, f.attacks)
@@ -398,7 +398,7 @@ class TestSccListInput:
                     reach |= frontier
                 scopes.add(reach)
             for scope in scopes:
-                sccs = [scc for scc in reversed(core._scc_order(f)) if scc & scope]
+                sccs = [scc for scc in core._scc_order(f) if scc & scope]
                 names = core.ArgSet(f, scope).names()
                 pairs = [(s.name, d.name) for s, d in f.attacks if {s.name, d.name} <= set(names)]
                 sub = build_framework(names, pairs)

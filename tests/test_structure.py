@@ -79,7 +79,7 @@ class TestCycles:
             ["a", "b", "c", "d"],
             [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "a")],
         )
-        assert len(structure.strongly_connected_components(f)) == 1
+        assert len(core._scc_order(f)) == 1
         assert odd_cycle_exists(f) and even_cycle_exists(f)
 
     def test_self_loop_is_no_mutual_attack(self):
@@ -130,13 +130,13 @@ class TestStronglyConnectedComponents:
                         seen.add(nxt)
                         todo.append(nxt)
             reach.append(seen)
-        components = structure.strongly_connected_components(f)
+        components = [list(core._iter_bits(members)) for members in core._scc_order(f)]
         assert sorted(i for c in components for i in c) == list(range(n))
         position = {i: k for k, c in enumerate(components) for i in c}
         for c in components:
             assert set(c) == {j for j in reach[c[0]] if c[0] in reach[j]}
-        for s, d in f.attacks:
-            assert position[d.index] <= position[s.index]
+        for s, d in f.attacks:  # sources first: to the same SCC or a later one
+            assert position[s.index] <= position[d.index]
 
     @staticmethod
     def _frameworks():
@@ -148,7 +148,7 @@ class TestStronglyConnectedComponents:
             pairs = [(a, b) for a in names for b in names if rng.random() < p]
             yield build_framework(names, pairs)
 
-    def test_mutual_reachability_classes_sinks_first(self):
+    def test_mutual_reachability_classes_sources_first(self):
         for f in self._frameworks():
             self._assert_components(f)
 
@@ -183,11 +183,10 @@ class TestStronglyConnectedComponents:
     def test_long_chain_and_cycle(self):
         names = [f"x{i}" for i in range(20000)]
         chain = build_framework(names, list(zip(names, names[1:])))
-        sinks_first = [[i] for i in range(19999, -1, -1)]
-        assert structure.strongly_connected_components(chain) == sinks_first
+        assert list(core._scc_order(chain)) == [1 << i for i in range(20000)]  # sources first
         cycle = build_framework(names, list(zip(names, names[1:] + names[:1])))
-        (component,) = structure.strongly_connected_components(cycle)
-        assert sorted(component) == list(range(20000))
+        (component,) = core._scc_order(cycle)
+        assert component == (1 << 20000) - 1
 
 
 class TestWellFounded:
@@ -529,6 +528,14 @@ class TestAgainstBruteForce:
         assert not indirectly_defends(chain, "x0", "x2999")
         assert indirectly_defends(chain, "x1", "x2999")
         assert not is_controversial_wrt(chain, "x0", "x2999")
+        # near pairs stop at the first layer that answers: 0.002-0.004 ms each on a shared
+        # 2-vCPU machine (Python 3.11), where a sweep of the whole chain takes 50-75 ms
+        names = [f"x{i}" for i in range(20000)]
+        chain = build_framework(names, list(zip(names, names[1:])))
+        for query, b in ((indirectly_attacks, "x1"), (indirectly_defends, "x2")):
+            start = time.process_time()
+            assert query(chain, "x0", b)
+            assert time.process_time() - start < 0.005, query.__name__
 
     def test_controversial_argument_collection(self):
         for f in _random_frameworks(73, 100, (6, 12)):
@@ -571,7 +578,7 @@ class TestOneDecomposition:
         frameworks += [random_framework(rng, max_size=10) for _ in range(10)]
         for f in frameworks:
             runs.clear()
-            structure.strongly_connected_components(f)
+            core._scc_order(f)
             has_directed_cycle(f)
             odd_cycle_exists(f)
             even_cycle_exists(f)
